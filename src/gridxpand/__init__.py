@@ -44,7 +44,6 @@ from .scenarios import (
     make_scenario,
     select_candidates,
 )
-from .simplex import NumericalBreakdown
-from .solver import Solution, solve_lp, solve_milp
+from .solver import NumericalBreakdown, Solution, solve_lp, solve_milp
 
 __version__ = "0.1.0"

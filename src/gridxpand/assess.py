@@ -168,12 +168,18 @@ def assess(net: FeederNetwork, scenario: NetloadScenario, *,
            siting_mode: str = "optimal", fixed_site: str | None = None,
            feeder_id: str = "feeder", costdb: CostDatabase | None = None,
            config: EngineConfig = EngineConfig(),
+           without_run: ExpansionResult | None = None,
            ) -> tuple[AssessmentReport, ExpansionResult, ExpansionResult]:
-    """Run the paired with/without-CS study for one feeder and scenario."""
+    """Run the paired with/without-CS study for one feeder and scenario.
+
+    ``without_run`` is the without-CS plan for the same feeder, scenario,
+    cost data and config, when the caller has already solved it.
+    """
     db = costdb if costdb is not None else default_cost_database()
     with_run = expansion_loop(net, scenario, True, siting_mode,
                               fixed_site=fixed_site, costdb=db, config=config)
-    without_run = expansion_loop(net, scenario, False, costdb=db, config=config)
+    if without_run is None:
+        without_run = expansion_loop(net, scenario, False, costdb=db, config=config)
     c_itgr = incremental_cost(with_run, without_run)
     cs_mw = size_cs_capacity(net) * net.base_mva
     sited = _chosen_site(with_run)
@@ -210,20 +216,24 @@ def compare_siting(net: FeederNetwork, scenario: NetloadScenario, *,
                    config: EngineConfig = EngineConfig(), seed: int = 0,
                    ) -> dict[str, AssessmentReport]:
     """Assess every siting mode: the three fixed sites, a seeded random draw
-    over them, and optimal placement."""
+    over them, and optimal placement. The without-CS plan does not depend on
+    the siting, so it is solved once and shared by every entry."""
     db = costdb if costdb is not None else default_cost_database()
+    without_run = expansion_loop(net, scenario, False, costdb=db, config=config)
     sites = storage_cs_sites(scenario.network)
     labels = ("fixed-head", "fixed-middle", "fixed-end")[:len(sites)]
     out: dict[str, AssessmentReport] = {}
     for label, bus in zip(labels, sites):
         report, _, _ = assess(net, scenario, siting_mode="fixed", fixed_site=bus,
-                              feeder_id=feeder_id, costdb=db, config=config)
+                              feeder_id=feeder_id, costdb=db, config=config,
+                              without_run=without_run)
         out[label] = report
     drawn = random.Random(seed).choice(sites)
     drawn_label = labels[sites.index(drawn)]
     out["random"] = replace(out[drawn_label], siting_mode="random")
     report, _, _ = assess(net, scenario, siting_mode="optimal",
-                          feeder_id=feeder_id, costdb=db, config=config)
+                          feeder_id=feeder_id, costdb=db, config=config,
+                          without_run=without_run)
     out["optimal"] = report
     return out
 

@@ -1,7 +1,7 @@
 """Command-line interface: validate, pf, scenario, plan, assess, fleet, export-mps.
 
-Exit codes: 0 success, 1 domain outcome (infeasible or unresolved plan),
-2 usage or I/O error. Diagnostics go to stderr; data goes to files or stdout.
+Exit codes: 0 success, 1 domain outcome (infeasible or unresolved plan, or a
+solver breakdown), 2 usage or I/O error. Diagnostics go to stderr; data goes to files or stdout.
 A config file (INI sections, e.g. ``[solver] gap = 1e-4``) supplies defaults;
 explicit flags win. Outputs are byte-stable for identical inputs and seed.
 """
@@ -40,6 +40,7 @@ from .scenarios import (
     size_cs_capacity,
     storage_cs_sites,
 )
+from .solver import NumericalBreakdown
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -277,7 +278,8 @@ def _fleet_job(path: str, scenario: str, args, ec, db):
                                   fixed_site=fixed_site, feeder_id=feeder_id,
                                   costdb=db, config=ec)
         return fleet_row(report, feeder_id, scenario), report, None
-    except (NetworkError, BuildError, CostDataError, UnresolvedPlanError) as exc:
+    except (NetworkError, BuildError, CostDataError, UnresolvedPlanError,
+            NumericalBreakdown) as exc:
         status = "unresolved" if isinstance(exc, UnresolvedPlanError) else "error"
         print(f"{feeder_id} [{scenario}]: {exc}", file=sys.stderr)
         return fleet_row(None, feeder_id, scenario, status), None, exc
@@ -439,7 +441,7 @@ def main(argv: list[str] | None = None) -> int:
     except (NetworkError, CostDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except BuildError as exc:
+    except (BuildError, NumericalBreakdown) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except UnresolvedPlanError as exc:

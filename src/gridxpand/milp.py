@@ -146,14 +146,14 @@ class MilpModel:
 
     def constraint_residuals(self, values: np.ndarray) -> np.ndarray:
         """Signed violation per row (0 when satisfied)."""
-        A, senses, rhs = self.constraint_arrays()
-        ax = A @ values
-        out = np.zeros(len(senses))
-        for i, sense in enumerate(senses):
-            if sense == EQUAL:
-                out[i] = ax[i] - rhs[i]
-            elif sense == LESS_EQUAL:
-                out[i] = max(0.0, ax[i] - rhs[i])
-            else:
-                out[i] = min(0.0, ax[i] - rhs[i])
-        return out
+        return row_residuals(*self.constraint_arrays(), values)
+
+
+def row_residuals(A: sp.csc_matrix, senses: list[str], rhs: np.ndarray,
+                  values: np.ndarray) -> np.ndarray:
+    """Signed violation per row of compiled arrays (0 when satisfied)."""
+    senses = np.asarray(senses, dtype="<U2")
+    diff = A @ values - rhs
+    return np.where(senses == EQUAL, diff,
+                    np.where(senses == LESS_EQUAL, np.maximum(diff, 0.0),
+                             np.minimum(diff, 0.0)))

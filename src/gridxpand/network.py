@@ -236,10 +236,6 @@ class FeederNetwork:
             out[seg.from_bus].append(seg)
         return out
 
-    def parent_segment(self) -> dict[str, LineSegment]:
-        """Incoming segment per non-source bus."""
-        return {s.to_bus: s for s in self.segments}
-
     def depths(self) -> dict[str, int]:
         """Hop distance of every bus from the source bus."""
         depth = {self.source_bus: 0}

@@ -1,29 +1,20 @@
-"""LP/MILP solving on top of the embedded simplex: best-bound branch and bound.
+"""LP/MILP solving with HiGHS (``scipy.optimize.milp``) on the compiled arrays.
 
-Branching fixes one binary at a time (most-fractional, ties to the lowest
-variable index); nodes are explored best-bound-first with FIFO tie-breaking,
-and every node LP is warm-started from its parent's basis. Identical models
-and parameters therefore produce identical incumbents.
+HiGHS gets the relative gap and the node limit and never a time limit, so no
+result depends on wall-clock time. Before a solution is accepted it is checked
+against the model the way a simplex re-verifies its own basis: row residuals
+and variable bounds within ``accept_tol``, binaries within ``INT_TOL``. A
+solution that fails raises ``NumericalBreakdown`` instead of being reported.
 """
 
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .milp import MilpModel, VarRef
-from .simplex import (
-    INFEASIBLE,
-    OPTIMAL,
-    UNBOUNDED,
-    LpResult,
-    NumericalBreakdown,
-    WarmBasis,
-    solve_lp_arrays,
-)
+from .milp import GREATER_EQUAL, LESS_EQUAL, MilpModel, VarRef, row_residuals
 
 DEFAULT_GAP = 1e-4
 DEFAULT_NODE_LIMIT = 10 ** 6
@@ -34,14 +25,25 @@ STATUS_INFEASIBLE = "infeasible"
 STATUS_GAP_LIMIT = "gap_limit"
 STATUS_ITERATION_LIMIT = "iteration_limit"
 
+# scipy.optimize.milp status codes
+_HIGHS_OPTIMAL, _HIGHS_LIMIT, _HIGHS_INFEASIBLE, _HIGHS_UNBOUNDED = 0, 1, 2, 3
+
+
+class NumericalBreakdown(RuntimeError):
+    """Solve abandoned rather than risk reporting a wrong optimum."""
+
+    def __init__(self, msg: str, diagnostics: dict | None = None):
+        super().__init__(msg if not diagnostics else f"{msg} ({diagnostics})")
+        self.diagnostics = diagnostics or {}
+
 
 @dataclass
 class Solution:
     """Solved model: investment decisions, dispatch, objective, solve stats.
 
-    ``status`` meanings: ``optimal`` proves the exact optimum (tree exhausted);
-    ``gap_limit`` stops once the proven gap falls under a nonzero target with
-    nodes still open; ``iteration_limit`` means the node budget ran out.
+    ``status`` meanings: ``optimal`` proves the optimum (zero remaining gap);
+    ``gap_limit`` stops once the proven gap falls under a nonzero target;
+    ``iteration_limit`` means the node budget ran out.
     """
 
     status: str
@@ -66,13 +68,37 @@ class Solution:
 class _Compiled:
     def __init__(self, model: MilpModel):
         self.model = model
-        self.A, self.senses, self.b = model.constraint_arrays()
+        self.A, senses, self.b = model.constraint_arrays()
+        self.senses = np.asarray(senses, dtype="<U2")
         self.c = model.objective_vector()
         self.lo, self.hi = model.bounds_arrays()
         self.binaries = model.binary_indices()
+        # the test-oracle simplex's feasibility tolerance, floored at 1e-7: HiGHS
+        # meets its own 1e-7 on the scaled model, so a bound can be off by
+        # slightly more than 1e-7 once unscaled
+        self.accept_tol = max(1e-7, 1e-9 * float(np.abs(self.b).sum()))
 
-    def lp(self, lo: np.ndarray, hi: np.ndarray, warm: WarmBasis | None) -> LpResult:
-        return solve_lp_arrays(self.A, self.senses, self.b, self.c, lo, hi, warm=warm)
+    def check(self, x: np.ndarray) -> None:
+        """Raise ``NumericalBreakdown`` unless ``x`` satisfies every row and
+        bound within ``accept_tol`` and every binary within ``INT_TOL``."""
+        rows = np.abs(row_residuals(self.A, self.senses, self.b, x))
+        bounds = np.maximum(np.maximum(self.lo - x, x - self.hi), 0.0)
+        frac = np.zeros(len(x))
+        frac[self.binaries] = np.abs(x[self.binaries] - np.round(x[self.binaries]))
+        if (np.all(np.isfinite(x)) and rows.max(initial=0.0) <= self.accept_tol
+                and bounds.max(initial=0.0) <= self.accept_tol
+                and frac.max(initial=0.0) <= INT_TOL):
+            return
+        tags = [con.tag for con in self.model.constraints]
+        names = [ref.name for ref in self.model.variables]
+        diagnostics = {"accept_tol": self.accept_tol, "int_tol": INT_TOL}
+        for key, errors, labels in (("row_residual", rows, tags),
+                                    ("bound_violation", bounds, names),
+                                    ("integrality", frac, names)):
+            if len(errors):
+                worst = int(np.argmax(errors))
+                diagnostics[key] = (float(errors[worst]), labels[worst])
+        raise NumericalBreakdown("HiGHS solution fails the acceptance check", diagnostics)
 
 
 def _package(model: MilpModel, status: str, objective: float, x: np.ndarray | None,
@@ -87,115 +113,54 @@ def _package(model: MilpModel, status: str, objective: float, x: np.ndarray | No
                     cost_breakdown=breakdown)
 
 
-def solve_lp(model: MilpModel, *, warm: WarmBasis | None = None) -> Solution:
-    """Solve the model with integrality relaxed."""
+def _solve(model: MilpModel, *, integral: bool, options: dict) -> Solution:
+    # imported here: scipy.optimize would add about 60% to `import gridxpand`
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
     t0 = time.perf_counter()
     comp = _Compiled(model)
-    res = comp.lp(comp.lo, comp.hi, warm)
+    row_lo = np.where(comp.senses == LESS_EQUAL, -np.inf, comp.b)
+    row_hi = np.where(comp.senses == GREATER_EQUAL, np.inf, comp.b)
+    integrality = np.zeros(len(comp.c))
+    if integral:
+        integrality[comp.binaries] = 1
+    res = milp(c=comp.c, constraints=LinearConstraint(comp.A, row_lo, row_hi),
+               integrality=integrality, bounds=Bounds(comp.lo, comp.hi),
+               options=options)
     wall = time.perf_counter() - t0
-    if res.status == OPTIMAL:
-        return _package(model, STATUS_OPTIMAL, res.objective, res.x, wall=wall)
-    if res.status == INFEASIBLE:
-        return _package(model, STATUS_INFEASIBLE, float("inf"), None, wall=wall)
-    raise NumericalBreakdown(f"LP relaxation is {res.status}; planning models "
-                             "must be bounded")
+    # HiGHS counts 0 nodes when presolve settles the model; the root still counts
+    nodes = max(1, res.get("mip_node_count") or 0)
+    if res.status == _HIGHS_INFEASIBLE:
+        return _package(model, STATUS_INFEASIBLE, float("inf"), None, nodes=nodes, wall=wall)
+    if res.status == _HIGHS_UNBOUNDED:
+        raise NumericalBreakdown("HiGHS reports the model unbounded; planning models "
+                                 "must be bounded", {"message": res.message})
+    if res.status not in (_HIGHS_OPTIMAL, _HIGHS_LIMIT):
+        raise NumericalBreakdown("HiGHS did not finish", {"status": int(res.status),
+                                                          "message": res.message})
+    if res.x is None:  # the node limit cut the search before the first incumbent
+        return _package(model, STATUS_ITERATION_LIMIT, float("inf"), None,
+                        nodes=nodes, wall=wall)
+    x = np.asarray(res.x, dtype=float)
+    comp.check(x)
+    gap = float(res.get("mip_gap") or 0.0)
+    if res.status == _HIGHS_LIMIT:
+        status = STATUS_ITERATION_LIMIT
+    else:
+        status = STATUS_GAP_LIMIT if gap > 0 else STATUS_OPTIMAL
+    return _package(model, status, float(comp.c @ x), x, mip_gap=gap, nodes=nodes,
+                    wall=wall)
 
 
-def _fractional_binary(x: np.ndarray, binaries: np.ndarray) -> int | None:
-    if len(binaries) == 0:
-        return None
-    vals = x[binaries]
-    dist = np.abs(vals - np.round(vals))
-    worst = int(np.argmax(dist))
-    if dist[worst] <= INT_TOL:
-        return None
-    # most fractional wins; np.argmax takes the lowest index among exact ties
-    return int(binaries[worst])
+def solve_lp(model: MilpModel) -> Solution:
+    """Solve the model with integrality relaxed."""
+    return _solve(model, integral=False, options={})
 
 
 def solve_milp(model: MilpModel, *, gap: float = DEFAULT_GAP,
                node_limit: int = DEFAULT_NODE_LIMIT) -> Solution:
-    """Best-bound branch and bound over the model's binary variables."""
+    """Solve the model with its binaries integral, to relative gap ``gap``."""
     if gap < 0:
         raise ValueError("gap must be >= 0")
-    t0 = time.perf_counter()
-    comp = _Compiled(model)
-
-    root = comp.lp(comp.lo, comp.hi, None)
-    nodes = 1
-    if root.status == INFEASIBLE:
-        return _package(model, STATUS_INFEASIBLE, float("inf"), None,
-                        nodes=nodes, wall=time.perf_counter() - t0)
-    if root.status == UNBOUNDED:
-        raise NumericalBreakdown("LP relaxation unbounded; planning models must be bounded")
-
-    incumbent_obj = float("inf")
-    incumbent_x: np.ndarray | None = None
-    seq = 0
-    # heap entries: (parent LP bound, insertion seq, fixings, warm basis)
-    heap: list[tuple[float, int, tuple[tuple[int, float], ...], WarmBasis | None]] = []
-
-    def push(bound: float, fixings: tuple[tuple[int, float], ...],
-             warm: WarmBasis | None) -> None:
-        nonlocal seq
-        heapq.heappush(heap, (bound, seq, fixings, warm))
-        seq += 1
-
-    def prune_tol() -> float:
-        scale = abs(incumbent_obj) if np.isfinite(incumbent_obj) else 1.0
-        return 1e-9 * max(1.0, scale)
-
-    def gap_against(lower: float) -> float:
-        if not np.isfinite(incumbent_obj):
-            return float("inf")
-        lower = min(lower, incumbent_obj)
-        return max(0.0, incumbent_obj - lower) / max(abs(incumbent_obj), 1e-9)
-
-    def handle(res: LpResult, fixings: tuple[tuple[int, float], ...]) -> None:
-        nonlocal incumbent_obj, incumbent_x
-        branch_var = _fractional_binary(res.x, comp.binaries)
-        if branch_var is None:
-            if res.objective < incumbent_obj - prune_tol():
-                incumbent_obj = res.objective
-                incumbent_x = res.x.copy()
-            return
-        for value in (0.0, 1.0):
-            push(res.objective, fixings + ((branch_var, value),), res.basis)
-
-    handle(root, ())
-    status = STATUS_OPTIMAL
-    final_gap = 0.0
-    while heap:
-        bound, _, fixings, warm = heapq.heappop(heap)  # global best bound
-        if bound >= incumbent_obj - prune_tol():
-            heap.clear()  # best-first: every remaining bound is at least this one
-            break
-        if gap > 0 and gap_against(bound) <= gap:
-            status = STATUS_GAP_LIMIT
-            final_gap = gap_against(bound)
-            break
-        if nodes >= node_limit:
-            status = STATUS_ITERATION_LIMIT
-            final_gap = gap_against(bound)
-            break
-        lo = comp.lo.copy()
-        hi = comp.hi.copy()
-        for idx, value in fixings:
-            lo[idx] = hi[idx] = value
-        res = comp.lp(lo, hi, warm)
-        nodes += 1
-        if res.status == INFEASIBLE:
-            continue
-        if res.objective >= incumbent_obj - prune_tol():
-            continue
-        handle(res, fixings)
-
-    wall = time.perf_counter() - t0
-    if incumbent_x is None:
-        # exhausted tree with no integral point proves infeasibility; otherwise
-        # a limit cut the search before the first incumbent
-        empty_status = STATUS_INFEASIBLE if status == STATUS_OPTIMAL else STATUS_ITERATION_LIMIT
-        return _package(model, empty_status, float("inf"), None,
-                        nodes=nodes, wall=wall)
-    return _package(model, status, incumbent_obj, incumbent_x,
-                    mip_gap=final_gap, nodes=nodes, wall=wall)
+    return _solve(model, integral=True,
+                  options={"mip_rel_gap": gap, "node_limit": node_limit})

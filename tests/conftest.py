@@ -23,7 +23,7 @@ from gridxpand.network import (
     UpgradeOption,
     validate,
 )
-from gridxpand.simplex import solve_lp_arrays
+from simplex import solve_lp_arrays
 
 
 def hours(*segments):
@@ -189,7 +189,8 @@ def brute_force_milp(model: MilpModel) -> tuple[float, dict]:
 
     Assignments violating constraints whose variables are all binaries are
     discarded by direct evaluation; the rest fix the binaries through their
-    bounds and solve the LP. Independent of the branch-and-bound path.
+    bounds and solve the LP with the embedded simplex (`tests/simplex.py`), so
+    the oracle shares no code path with HiGHS.
     """
     A, senses, b = model.constraint_arrays()
     c = model.objective_vector()

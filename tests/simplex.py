@@ -1,5 +1,9 @@
 """Bounded-variable primal simplex (revised, product-form basis inverse).
 
+Test oracle only: ``brute_force_milp`` completes each binary assignment with
+this LP, so the reference optimum shares no code path with HiGHS, the solver
+the package itself uses.
+
 Standard form: the m rows get one logical column each (``A x + s = b``) whose
 bounds encode the row sense, so any basis plus nonbasic-at-bound assignment is
 a valid starting point and warm starts after bound changes need no artificial
@@ -21,7 +25,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .milp import EQUAL, GREATER_EQUAL, LESS_EQUAL
+from gridxpand.milp import EQUAL, GREATER_EQUAL, LESS_EQUAL
+from gridxpand.solver import NumericalBreakdown
 
 INF = float("inf")
 
@@ -35,14 +40,6 @@ STALL_LIMIT = 60  # non-improving pivots before switching to Bland's rule
 REFRESH_EVERY = 80
 
 AT_LO, AT_HI, NB_FREE, BASIC = 0, 1, 2, 3
-
-
-class NumericalBreakdown(RuntimeError):
-    """Solve abandoned rather than risk reporting a wrong optimum."""
-
-    def __init__(self, msg: str, diagnostics: dict | None = None):
-        super().__init__(msg if not diagnostics else f"{msg} ({diagnostics})")
-        self.diagnostics = diagnostics or {}
 
 
 @dataclass

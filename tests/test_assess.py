@@ -203,3 +203,33 @@ def test_investment_cost_reads_groups():
                                    "feeder_head": 4.0, "imbalance": 100.0,
                                    "curtailment": 50.0})
     assert investment_cost(sol) == pytest.approx(10.0)
+
+
+def test_compare_siting_solves_the_without_cs_plan_once(monkeypatch):
+    import importlib
+    assess_mod = importlib.import_module("gridxpand.assess")  # the package re-exports assess
+
+    net, cand, kw = feeder_cs_hosting()
+    scen = make_scenario(net, "base")
+    calls = []
+    original = assess_mod.expansion_loop
+
+    def counting(net, scenario, with_cs, *args, **kwargs):
+        calls.append(with_cs)
+        return original(net, scenario, with_cs, *args, **kwargs)
+    monkeypatch.setattr(assess_mod, "expansion_loop", counting)
+    table = compare_siting(net, scen, config=CFG, seed=3)
+    sites = [r.siting_bus for k, r in table.items() if k.startswith("fixed")]
+    assert calls.count(False) == 1
+    assert calls.count(True) == len(sites) + 1  # each fixed site, then optimal
+
+    # the same reports as assessing each entry on its own
+    monkeypatch.setattr(assess_mod, "expansion_loop", original)
+    for label, report in table.items():
+        if label == "random":
+            continue
+        mode = "optimal" if label == "optimal" else "fixed"
+        alone, _, _ = assess(net, scen, siting_mode=mode,
+                             fixed_site=None if mode == "optimal" else report.siting_bus,
+                             config=CFG)
+        assert alone == report

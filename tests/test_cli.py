@@ -172,3 +172,34 @@ def test_fleet_three_feeders_three_scenarios(tmp_path, capsys):
     assert code == 0, err
     rows = (out / "fleet.csv").read_text().strip().splitlines()
     assert len(rows) == 1 + 3 * 3  # header + feeders x scenarios
+
+
+def _break_solver(monkeypatch):
+    import gridxpand.scenarios
+    from gridxpand.solver import NumericalBreakdown
+
+    def broken(model, **kwargs):
+        raise NumericalBreakdown("stub breakdown", {"row_residual": 1.0})
+    monkeypatch.setattr(gridxpand.scenarios, "solve_milp", broken)
+
+
+@pytest.mark.parametrize("command", [("plan", "--cs", "on"), ("assess",)])
+def test_solver_breakdown_exits_1(tutorial_path, capsys, monkeypatch, command):
+    _break_solver(monkeypatch)
+    code, out, err = run(capsys, command[0], tutorial_path, *command[1:])
+    assert code == 1
+    assert err.startswith("error: stub breakdown")
+    assert "Traceback" not in err
+
+
+def test_fleet_writes_error_rows_on_solver_breakdown(tutorial_path, tmp_path, capsys,
+                                                     monkeypatch):
+    _break_solver(monkeypatch)
+    manifest = _write_manifest(tmp_path, tutorial_path)
+    code, _, err = run(capsys, "fleet", "--manifest", str(manifest),
+                       "--out-dir", str(tmp_path / "out"), "--scenarios", "base")
+    assert code == 1
+    assert "stub breakdown" in err
+    rows = (tmp_path / "out" / "fleet.csv").read_text().strip().splitlines()
+    assert len(rows) == 2
+    assert rows[1].split(",")[2] == "error"

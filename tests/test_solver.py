@@ -1,10 +1,10 @@
-"""Embedded LP/MILP solver: oracle equality, statuses, determinism."""
+"""LP/MILP solver: oracle equality, statuses, determinism, acceptance check."""
 
 import numpy as np
 import pytest
 
 from gridxpand.milp import MilpModel, ModelError
-from gridxpand.solver import solve_lp, solve_milp
+from gridxpand.solver import NumericalBreakdown, solve_lp, solve_milp
 
 from conftest import brute_force_milp, scipy_milp_objective
 
@@ -157,7 +157,7 @@ def test_duplicate_terms_merge():
 
 
 def test_lp_unbounded_raises_with_diagnostics():
-    from gridxpand.simplex import NumericalBreakdown
+    from gridxpand.solver import NumericalBreakdown
     m = MilpModel()
     x = m.add_var("x", lo=0.0)
     m.add_objective("obj", x, -1.0)
@@ -166,7 +166,47 @@ def test_lp_unbounded_raises_with_diagnostics():
 
 
 def test_numerical_breakdown_carries_diagnostics():
-    from gridxpand.simplex import NumericalBreakdown
+    from gridxpand.solver import NumericalBreakdown
     err = NumericalBreakdown("bad basis", {"residual": 1.0, "basis_condition_estimate": 2.0})
     assert err.diagnostics["residual"] == 1.0
     assert "basis_condition_estimate" in str(err)
+
+
+def _highs_returning(monkeypatch, x):
+    """Make the next HiGHS call report ``x`` as an optimal solution."""
+    import scipy.optimize
+    from scipy.optimize import OptimizeResult
+
+    def fake_milp(c, **kwargs):
+        return OptimizeResult(status=0, message="stub", x=np.array(x, dtype=float),
+                              fun=float(np.dot(c, x)), mip_node_count=1, mip_gap=0.0)
+    monkeypatch.setattr(scipy.optimize, "milp", fake_milp)
+
+
+@pytest.mark.parametrize("x, key", [
+    ([4.0, 0.0, 4.0], "row_residual"),      # x + s >= 9 violated by 1
+    ([10.0, 1.0, -0.5], "bound_violation"),  # s below its lower bound 0
+    ([7.0, 0.5, 2.0], "integrality"),       # rows and bounds hold, y fractional
+])
+def test_acceptance_check_rejects_a_bad_highs_solution(monkeypatch, x, key):
+    m, *_ = toy_upgrade_model()
+    _highs_returning(monkeypatch, x)
+    with pytest.raises(NumericalBreakdown, match="acceptance check") as info:
+        solve_milp(m, gap=0.0)
+    for part in ("row_residual", "bound_violation", "integrality"):
+        err, _where = info.value.diagnostics[part]
+        assert (err > 1e-6) if part == key else (err == 0.0)
+
+
+def test_import_does_not_load_scipy_optimize():
+    import os
+    import subprocess
+    import sys
+
+    import gridxpand
+    src = os.path.dirname(os.path.dirname(gridxpand.__file__))
+    code = "import sys, gridxpand; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
