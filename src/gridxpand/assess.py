@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import random
 from dataclasses import asdict, dataclass, replace
 
 from .costs import CostDatabase, default_cost_database
@@ -21,6 +20,7 @@ from .scenarios import (
     ExpansionResult,
     NetloadScenario,
     expansion_loop,
+    random_site,
     size_cs_capacity,
     storage_cs_sites,
 )
@@ -228,8 +228,7 @@ def compare_siting(net: FeederNetwork, scenario: NetloadScenario, *,
                               feeder_id=feeder_id, costdb=db, config=config,
                               without_run=without_run)
         out[label] = report
-    drawn = random.Random(seed).choice(sites)
-    drawn_label = labels[sites.index(drawn)]
+    drawn_label = labels[sites.index(random_site(scenario.network, seed))]
     out["random"] = replace(out[drawn_label], siting_mode="random")
     report, _, _ = assess(net, scenario, siting_mode="optimal",
                           feeder_id=feeder_id, costdb=db, config=config,

@@ -13,7 +13,6 @@ import configparser
 import csv
 import json
 import os
-import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -29,16 +28,17 @@ from .assess import (
     write_report_json,
 )
 from .builder import BuildError
-from .costs import CostDataError, default_cost_database, load_cost_database
+from .costs import CostDatabase, CostDataError, default_cost_database, load_cost_database
 from .network import NetworkError, load_feeder
 from .powerflow import operating_point, solve_lindistflow
 from .scenarios import (
     SCENARIO_LABELS,
     EngineConfig,
     expansion_loop,
+    first_round_model,
     make_scenario,
+    random_site,
     size_cs_capacity,
-    storage_cs_sites,
 )
 from .solver import NumericalBreakdown
 
@@ -87,17 +87,14 @@ def _engine_config(cfg: configparser.ConfigParser, args) -> EngineConfig:
     return ec
 
 
-def _costdb(args, net_region: str):
-    region = args.region or net_region
-    if region not in ("CA", "nonCA"):
-        raise CliError(f"unknown region {region!r}")
+def _settings(args) -> tuple[EngineConfig, CostDatabase]:
+    """The engine config and the cost database of one command."""
+    ec = _engine_config(_load_config(args.config), args)
     if args.costs or args.conductors:
         if not (args.costs and args.conductors):
             raise CliError("--costs and --conductors must be given together")
-        db = load_cost_database(args.costs, args.conductors)
-    else:
-        db = default_cost_database()
-    return db, region
+        return ec, load_cost_database(args.costs, args.conductors)
+    return ec, default_cost_database()
 
 
 def _resolve_feeder(path: str):
@@ -106,19 +103,29 @@ def _resolve_feeder(path: str):
     return load_feeder(path)
 
 
+def _study(path: str, scenario: str, args, ec: EngineConfig):
+    """One feeder and the siting flags as every study command solves them:
+    the feeder in its region, its scenario, and the siting keywords. A random
+    siting becomes the fixed site its seed draws."""
+    net = _resolve_feeder(path)
+    region = args.region or net.region
+    if region not in ("CA", "nonCA"):
+        raise CliError(f"unknown region {region!r}")
+    net = replace(net, region=region)
+    scen = make_scenario(net, scenario, step=ec.scale_step, max_iter=ec.scale_max_iter)
+    siting_mode, fixed_site = args.siting
+    if siting_mode == "random":
+        siting_mode, fixed_site = "fixed", random_site(scen.network, args.seed)
+    return net, scen, {"siting_mode": siting_mode, "fixed_site": fixed_site}
+
+
 def _parse_siting(text: str) -> tuple[str, str | None]:
     if text == "optimal" or text == "random":
         return text, None
     if text.startswith("fixed:"):
         return "fixed", text.split(":", 1)[1]
-    raise CliError(f"bad --siting value {text!r} (optimal, random, or fixed:<bus>)")
-
-
-def _trace_writer(stream):
-    def emit(record: dict) -> None:
-        stream.write(json.dumps(record, sort_keys=True) + "\n")
-        stream.flush()
-    return emit
+    raise argparse.ArgumentTypeError(
+        f"bad --siting value {text!r} (optimal, random, or fixed:<bus>)")
 
 
 def cmd_validate(args) -> int:
@@ -171,26 +178,6 @@ def cmd_scenario(args) -> int:
     return EXIT_OK
 
 
-def _run_plan(net, args, ec, db, region, trace=None):
-    net = replace(net, region=region)
-    scen = make_scenario(net, args.scenario, step=ec.scale_step,
-                         max_iter=ec.scale_max_iter)
-    with_cs = args.cs == "on"
-    siting_mode, fixed_site = _parse_siting(args.siting)
-    if siting_mode == "random":
-        sites = storage_cs_sites(scen.network)
-        fixed_site = random.Random(args.seed).choice(sites)
-        siting_mode = "fixed"
-    result = expansion_loop(net, scen, with_cs, siting_mode,
-                            fixed_site=fixed_site, costdb=db, config=ec)
-    if trace:
-        trace({"event": "plan_done", "scenario": scen.label, "with_cs": with_cs,
-               "status": result.status, "iterations": result.iterations,
-               "objective": result.solution.objective,
-               "residual_slack_mwh": result.residual_slack_mwh})
-    return scen, result
-
-
 def _solution_doc(result) -> dict:
     sol = result.solution
     d = result.decisions
@@ -218,12 +205,17 @@ def _solution_doc(result) -> dict:
 
 
 def cmd_plan(args) -> int:
-    net = _resolve_feeder(args.feeder)
-    cfg = _load_config(args.config)
-    ec = _engine_config(cfg, args)
-    db, region = _costdb(args, net.region)
-    trace = _trace_writer(sys.stderr) if args.trace else None
-    _, result = _run_plan(net, args, ec, db, region, trace)
+    ec, db = _settings(args)
+    net, scen, siting = _study(args.feeder, args.scenario, args, ec)
+    with_cs = args.cs == "on"
+    result = expansion_loop(net, scen, with_cs, **siting, costdb=db, config=ec)
+    if args.trace:
+        print(json.dumps({"event": "plan_done", "scenario": scen.label,
+                          "with_cs": with_cs, "status": result.status,
+                          "iterations": result.iterations,
+                          "objective": result.solution.objective,
+                          "residual_slack_mwh": result.residual_slack_mwh},
+                         sort_keys=True), file=sys.stderr, flush=True)
     doc = _solution_doc(result)
     text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
     if args.out:
@@ -235,25 +227,10 @@ def cmd_plan(args) -> int:
 
 
 def cmd_assess(args) -> int:
-    net = _resolve_feeder(args.feeder)
-    cfg = _load_config(args.config)
-    ec = _engine_config(cfg, args)
-    db, region = _costdb(args, net.region)
-    net = replace(net, region=region)
-    scen = make_scenario(net, args.scenario, step=ec.scale_step,
-                         max_iter=ec.scale_max_iter)
-    siting_mode, fixed_site = _parse_siting(args.siting)
-    if siting_mode == "random":
-        sites = storage_cs_sites(scen.network)
-        fixed_site = random.Random(args.seed).choice(sites)
-        siting_mode = "fixed"
-    try:
-        report, _, _ = run_assess(
-            net, scen, siting_mode=siting_mode, fixed_site=fixed_site,
-            feeder_id=os.path.basename(args.feeder), costdb=db, config=ec)
-    except UnresolvedPlanError as exc:
-        print(f"unresolved: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    ec, db = _settings(args)
+    net, scen, siting = _study(args.feeder, args.scenario, args, ec)
+    report, _, _ = run_assess(net, scen, **siting, feeder_id=os.path.basename(args.feeder),
+                              costdb=db, config=ec)
     if args.out:
         write_report_json(report, args.out)
     else:
@@ -263,23 +240,15 @@ def cmd_assess(args) -> int:
 
 
 def _fleet_job(path: str, scenario: str, args, ec, db):
+    """One (feeder, scenario) row. Any failure becomes an error row, so one
+    bad feeder never stops the fleet."""
     feeder_id = os.path.basename(path)
     try:
-        net = load_feeder(path)
-        net = replace(net, region=args.region or net.region)
-        scen = make_scenario(net, scenario, step=ec.scale_step,
-                             max_iter=ec.scale_max_iter)
-        siting_mode, fixed_site = _parse_siting(args.siting)
-        if siting_mode == "random":
-            sites = storage_cs_sites(scen.network)
-            fixed_site = random.Random(args.seed).choice(sites)
-            siting_mode = "fixed"
-        report, _, _ = run_assess(net, scen, siting_mode=siting_mode,
-                                  fixed_site=fixed_site, feeder_id=feeder_id,
+        net, scen, siting = _study(path, scenario, args, ec)
+        report, _, _ = run_assess(net, scen, **siting, feeder_id=feeder_id,
                                   costdb=db, config=ec)
         return fleet_row(report, feeder_id, scenario), report, None
-    except (NetworkError, BuildError, CostDataError, UnresolvedPlanError,
-            NumericalBreakdown) as exc:
+    except Exception as exc:
         status = "unresolved" if isinstance(exc, UnresolvedPlanError) else "error"
         print(f"{feeder_id} [{scenario}]: {exc}", file=sys.stderr)
         return fleet_row(None, feeder_id, scenario, status), None, exc
@@ -290,19 +259,18 @@ def cmd_fleet(args) -> int:
         raise CliError(f"manifest not found: {args.manifest}")
     with open(args.manifest) as fh:
         paths = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    cfg = _load_config(args.config)
-    ec = _engine_config(cfg, args)
-    if args.costs or args.conductors:
-        db = load_cost_database(args.costs, args.conductors)
-    else:
-        db = default_cost_database()
+    ec, db = _settings(args)
     scenarios = args.scenarios.split(",") if args.scenarios else list(SCENARIO_LABELS)
     for s in scenarios:
         if s not in SCENARIO_LABELS:
             raise CliError(f"unknown scenario {s!r}")
     jobs = [(p, s) for p in paths for s in scenarios]
     workers = max(1, args.threads or 1)
-    env_cap = int(os.environ.get("GRIDXPAND_THREADS", "0"))
+    env = os.environ.get("GRIDXPAND_THREADS", "0")
+    try:
+        env_cap = int(env)
+    except ValueError:
+        raise CliError(f"GRIDXPAND_THREADS must be an integer, not {env!r}") from None
     if env_cap > 0:
         workers = min(workers, env_cap)
     if workers > 1:
@@ -325,28 +293,9 @@ def cmd_fleet(args) -> int:
 
 
 def cmd_export_mps(args) -> int:
-    net = _resolve_feeder(args.feeder)
-    cfg = _load_config(args.config)
-    ec = _engine_config(cfg, args)
-    db, region = _costdb(args, net.region)
-    net = replace(net, region=region)
-    scen = make_scenario(net, args.scenario, step=ec.scale_step,
-                         max_iter=ec.scale_max_iter)
-    # export the first-round model (screening candidates, before any escalation)
-    from .scenarios import promote_candidates, screening_flows, select_candidates
-    from .builder import build
-    cand = select_candidates(scen.network, screening_flows(scen.network), ec)
-    with_cs = args.cs == "on"
-    cs_cap = size_cs_capacity(net) if with_cs else None
-    promoted = promote_candidates(scen.network, cand, db, with_cs=with_cs,
-                                  cs_capacity=cs_cap or 0.0, config=ec)
-    siting_mode, fixed_site = _parse_siting(args.siting)
-    if siting_mode == "random":
-        fixed_site = random.Random(args.seed).choice(storage_cs_sites(scen.network))
-        siting_mode = "fixed"
-    model = build(promoted, cand, siting_mode if with_cs else "optimal",
-                  cs_capacity=cs_cap, fixed_site=fixed_site,
-                  vr_install_cost=db.vr_annual_cost(region))
+    ec, db = _settings(args)
+    net, scen, siting = _study(args.feeder, args.scenario, args, ec)
+    model = first_round_model(net, scen, args.cs == "on", **siting, costdb=db, config=ec)
     mps.export_model(model, args.out)
     print(f"wrote {args.out}: {len(model.variables)} columns, "
           f"{len(model.constraints)} rows", file=sys.stderr)
@@ -360,16 +309,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="INI config file (flags win over it)")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, scenario=True):
-        sp.add_argument("feeder", help="feeder JSON file")
-        if scenario:
+    def common(sp, *, feeder=True, gap=True):
+        """The flags of the study commands: plan, assess, export-mps and fleet."""
+        if feeder:
+            sp.add_argument("feeder", help="feeder JSON file")
             sp.add_argument("--scenario", default="base", choices=SCENARIO_LABELS)
+        sp.add_argument("--siting", type=_parse_siting, default="optimal",
+                        help="optimal | random | fixed:<bus>")
+        sp.add_argument("--seed", type=int, default=0, help="seed of --siting random")
         sp.add_argument("--region", choices=["CA", "nonCA"], default=None)
         sp.add_argument("--costs", help="costs CSV (with --conductors)")
         sp.add_argument("--conductors", help="conductor table CSV")
-        sp.add_argument("--gap", type=float, default=None, help="MILP gap")
+        if gap:
+            sp.add_argument("--gap", type=float, default=None, help="MILP gap")
         sp.add_argument("--step", type=float, default=None, help="scenario scaling step")
-        sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("validate", help="parse and validate a feeder file")
     sp.add_argument("feeder")
@@ -384,14 +337,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_pf)
 
     sp = sub.add_parser("scenario", help="build a netload scenario")
-    common(sp)
+    sp.add_argument("feeder", help="feeder JSON file")
+    sp.add_argument("--scenario", default="base", choices=SCENARIO_LABELS)
+    sp.add_argument("--step", type=float, default=None, help="scenario scaling step")
     sp.set_defaults(func=cmd_scenario)
 
     sp = sub.add_parser("plan", help="run the expansion loop")
     common(sp)
     sp.add_argument("--cs", choices=["on", "off"], default="off")
-    sp.add_argument("--siting", default="optimal",
-                    help="optimal | random | fixed:<bus>")
     sp.add_argument("--out", help="write solution JSON here")
     sp.add_argument("--trace", action="store_true",
                     help="emit JSON-lines iteration trace to stderr")
@@ -399,29 +352,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("assess", help="paired with/without-CS study")
     common(sp)
-    sp.add_argument("--siting", default="optimal")
     sp.add_argument("--out", help="write report JSON here")
     sp.set_defaults(func=cmd_assess)
 
     sp = sub.add_parser("fleet", help="run many feeders from a manifest")
+    common(sp, feeder=False)
     sp.add_argument("--manifest", required=True)
     sp.add_argument("--out-dir", required=True)
     sp.add_argument("--scenarios", default=None,
                     help="comma-separated subset of base,highpv,highload")
-    sp.add_argument("--siting", default="optimal")
-    sp.add_argument("--region", choices=["CA", "nonCA"], default=None)
-    sp.add_argument("--costs", default=None)
-    sp.add_argument("--conductors", default=None)
-    sp.add_argument("--gap", type=float, default=None)
-    sp.add_argument("--step", type=float, default=None)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--threads", type=int, default=1)
     sp.set_defaults(func=cmd_fleet)
 
-    sp = sub.add_parser("export-mps", help="write the expansion MILP as MPS")
-    common(sp)
+    sp = sub.add_parser("export-mps", help="write the first-round expansion MILP as MPS")
+    common(sp, gap=False)
     sp.add_argument("--cs", choices=["on", "off"], default="off")
-    sp.add_argument("--siting", default="optimal")
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_export_mps)
     return p

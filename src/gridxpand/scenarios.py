@@ -15,6 +15,7 @@ the power-flow engine.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, replace
 
 from .builder import (
@@ -175,6 +176,11 @@ def storage_cs_sites(net: FeederNetwork) -> tuple[str, ...]:
     deepest_depth = max(depth_values)
     deepest = min(b for b in candidates if depths[b] == deepest_depth)
     return tuple(dict.fromkeys((head_bus, mid, deepest)))
+
+
+def random_site(net: FeederNetwork, seed: int) -> str:
+    """The seeded random siting draw over the storage/CS sites."""
+    return random.Random(seed).choice(storage_cs_sites(net))
 
 
 def select_candidates(net: FeederNetwork, flows: list[FlowResult],
@@ -353,15 +359,13 @@ def _escalate(net: FeederNetwork, sol: Solution, cand: CandidateSet) -> Candidat
     return cand.union(extra)
 
 
-def expansion_loop(net: FeederNetwork, scenario: NetloadScenario, with_cs: bool,
-                   siting_mode: str = "optimal", *,
-                   fixed_site: str | None = None,
-                   costdb: CostDatabase | None = None,
-                   config: EngineConfig = EngineConfig()) -> ExpansionResult:
-    """Iterate screening, build, and solve until the slacks vanish.
+def _setup(net: FeederNetwork, scenario: NetloadScenario, with_cs: bool,
+           siting_mode: str, fixed_site: str | None, costdb: CostDatabase | None,
+           config: EngineConfig):
+    """Size the CS capacity, screen the scenario once and check the fixed site.
 
-    ``net`` is the unscaled feeder (community-solar sizing always reflects
-    Base conditions); ``scenario.network`` is what gets planned.
+    Returns the first candidate set and the round step, which turns a
+    candidate set into its (active candidates, promoted network, model).
     """
     db = costdb if costdb is not None else default_cost_database()
     work = scenario.network
@@ -374,15 +378,9 @@ def expansion_loop(net: FeederNetwork, scenario: NetloadScenario, with_cs: bool,
         if fixed_site not in cand.cs_sites:
             raise BuildError(f"fixed site {fixed_site!r} is not one of the candidate "
                              f"sites {cand.cs_sites}")
-
     vr_cost = db.vr_annual_cost(work.region)
-    iterations = 0
-    sol = None
-    model = None
-    promoted = work
-    active = _normalized(cand)
-    while iterations < config.max_rounds:
-        iterations += 1
+
+    def build_round(cand: CandidateSet) -> tuple[CandidateSet, FeederNetwork, MilpModel]:
         active = _normalized(cand)
         promoted = promote_candidates(work, active, db, with_cs=with_cs,
                                       cs_capacity=cs_cap, config=config)
@@ -391,8 +389,37 @@ def expansion_loop(net: FeederNetwork, scenario: NetloadScenario, with_cs: bool,
                       cs_capacity=cs_cap if with_cs else None,
                       fixed_site=fixed_site if with_cs else None,
                       vr_install_cost=vr_cost)
+        return active, promoted, model
+    return cand, build_round
+
+
+def first_round_model(net: FeederNetwork, scenario: NetloadScenario, with_cs: bool,
+                      siting_mode: str = "optimal", *,
+                      fixed_site: str | None = None,
+                      costdb: CostDatabase | None = None,
+                      config: EngineConfig = EngineConfig()) -> MilpModel:
+    """The model the first round of ``expansion_loop`` solves."""
+    cand, build_round = _setup(net, scenario, with_cs, siting_mode, fixed_site,
+                               costdb, config)
+    return build_round(cand)[2]
+
+
+def expansion_loop(net: FeederNetwork, scenario: NetloadScenario, with_cs: bool,
+                   siting_mode: str = "optimal", *,
+                   fixed_site: str | None = None,
+                   costdb: CostDatabase | None = None,
+                   config: EngineConfig = EngineConfig()) -> ExpansionResult:
+    """Iterate screening, build, and solve until the slacks vanish.
+
+    ``net`` is the unscaled feeder (community-solar sizing always reflects
+    Base conditions); ``scenario.network`` is what gets planned.
+    """
+    cand, build_round = _setup(net, scenario, with_cs, siting_mode, fixed_site,
+                               costdb, config)
+    for iterations in range(1, config.max_rounds + 1):
+        active, promoted, model = build_round(cand)
         sol = solve_milp(model, gap=config.solver_gap, node_limit=config.node_limit)
-        residual_mwh = slack_total(sol) * work.base_mva
+        residual_mwh = slack_total(sol) * promoted.base_mva
         if sol.status in ("optimal", "gap_limit") and residual_mwh < SLACK_TOL_MWH:
             return _finish(promoted, active, model, sol, iterations, "resolved",
                            residual_mwh)
@@ -400,13 +427,10 @@ def expansion_loop(net: FeederNetwork, scenario: NetloadScenario, with_cs: bool,
         plan_net = realized_network(promoted, model, sol, active)
         grown = grown.union(select_candidates(plan_net, screening_flows(plan_net), config))
         if grown == cand:
-            sol.resolved = False
-            return _finish(promoted, active, model, sol, iterations, "unresolved",
-                           residual_mwh)
+            break
         cand = grown
     sol.resolved = False
-    return _finish(promoted, active, model, sol, iterations, "unresolved",
-                   slack_total(sol) * work.base_mva)
+    return _finish(promoted, active, model, sol, iterations, "unresolved", residual_mwh)
 
 
 def _finish(promoted: FeederNetwork, cand: CandidateSet, model: MilpModel,

@@ -2,13 +2,24 @@
 
 import json
 import os
+import random
+import shlex
+from pathlib import Path
 
 import pytest
 
-from gridxpand.cli import main
-from gridxpand.mps import import_model
+from gridxpand.cli import build_parser, main
+from gridxpand.mps import export_model, import_model
 from gridxpand.network import load_feeder
-from gridxpand.scenarios import EngineConfig, expansion_loop, make_scenario
+from gridxpand.scenarios import (
+    SCENARIO_LABELS,
+    EngineConfig,
+    expansion_loop,
+    make_scenario,
+    storage_cs_sites,
+)
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -203,3 +214,122 @@ def test_fleet_writes_error_rows_on_solver_breakdown(tutorial_path, tmp_path, ca
     rows = (tmp_path / "out" / "fleet.csv").read_text().strip().splitlines()
     assert len(rows) == 2
     assert rows[1].split(",")[2] == "error"
+
+
+@pytest.mark.parametrize("scenario", SCENARIO_LABELS)
+def test_export_mps_writes_the_model_plan_solves(tutorial_path, tmp_path, capsys, scenario):
+    net = load_feeder(tutorial_path)
+    scen = make_scenario(net, scenario)
+    sites = storage_cs_sites(scen.network)
+    # (--cs, --siting, --seed) and the loop call it must match: (with_cs, mode, site)
+    cases = [("off", "optimal", 0, (False, "optimal", None)),
+             ("on", "optimal", 0, (True, "optimal", None))]
+    cases += [("on", f"fixed:{bus}", 0, (True, "fixed", bus)) for bus in sites]
+    cases += [("on", "random", seed, (True, "fixed", random.Random(seed).choice(sites)))
+              for seed in range(5)]
+    want: dict[tuple, bytes] = {}
+    for cs, siting, seed, (with_cs, mode, site) in cases:
+        if (with_cs, mode, site) not in want:
+            result = expansion_loop(net, scen, with_cs, mode, fixed_site=site)
+            assert result.iterations == 1
+            path = tmp_path / "loop.mps"
+            export_model(result.model, str(path))
+            want[with_cs, mode, site] = path.read_bytes()
+        out = tmp_path / "cli.mps"
+        code, _, err = run(capsys, "export-mps", tutorial_path, "--scenario", scenario,
+                           "--cs", cs, "--siting", siting, "--seed", str(seed),
+                           "--out", str(out))
+        assert code == 0, err
+        assert out.read_bytes() == want[with_cs, mode, site], (cs, siting, seed)
+
+
+def test_export_mps_applies_the_loop_site_check(tutorial_path, tmp_path, capsys):
+    out = tmp_path / "model.mps"
+    code, _, err = run(capsys, "export-mps", tutorial_path, "--cs", "on",
+                       "--siting", "fixed:bogus", "--out", str(out))
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "not one of the candidate sites" in err
+    assert not out.exists()
+
+
+def test_fleet_costs_without_conductors_is_a_usage_error(tutorial_path, tmp_path, capsys):
+    manifest = _write_manifest(tmp_path, tutorial_path)
+    code, _, err = run(capsys, "fleet", "--manifest", str(manifest),
+                       "--out-dir", str(tmp_path / "out"), "--costs", "costs.csv")
+    assert code == 2
+    assert err == "error: --costs and --conductors must be given together\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_fleet_bad_siting_is_a_usage_error(tutorial_path, tmp_path, capsys):
+    manifest = _write_manifest(tmp_path, tutorial_path)
+    code, _, err = run(capsys, "fleet", "--manifest", str(manifest),
+                       "--out-dir", str(tmp_path / "out"), "--siting", "sideways")
+    assert code == 2
+    assert "bad --siting value 'sideways'" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_fleet_rejects_a_non_integer_thread_cap(tutorial_path, tmp_path, capsys,
+                                                monkeypatch):
+    monkeypatch.setenv("GRIDXPAND_THREADS", "abc")
+    manifest = _write_manifest(tmp_path, tutorial_path)
+    code, _, err = run(capsys, "fleet", "--manifest", str(manifest),
+                       "--out-dir", str(tmp_path / "out"), "--scenarios", "base")
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "GRIDXPAND_THREADS" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_fleet_keeps_going_past_a_malformed_feeder(tutorial_path, tmp_path, capsys):
+    doc = json.loads(Path(tutorial_path).read_text())
+    del doc["storage"][0]["status"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    both = tmp_path / "both.txt"
+    both.write_text(f"{tutorial_path}\n{bad}\n")
+    code, _, err = run(capsys, "fleet", "--manifest", str(both),
+                       "--out-dir", str(tmp_path / "both"))
+    assert code == 1
+    for scenario in SCENARIO_LABELS:
+        assert f"bad.json [{scenario}]: 'status'" in err
+    code, _, _ = run(capsys, "fleet", "--manifest", str(_write_manifest(tmp_path, tutorial_path)),
+                     "--out-dir", str(tmp_path / "alone"))
+    assert code == 0
+    rows = (tmp_path / "both" / "fleet.csv").read_bytes().splitlines(keepends=True)
+    alone = (tmp_path / "alone" / "fleet.csv").read_bytes().splitlines(keepends=True)
+    assert len(alone) == 1 + len(SCENARIO_LABELS)
+    assert rows[:len(alone)] == alone
+    assert [r.split(b",")[:3] for r in rows[len(alone):]] == [
+        [b"bad.json", s.encode(), b"error"] for s in SCENARIO_LABELS]
+
+
+def _readme_command_lines() -> list[str]:
+    block = README.read_text().split("## Command line", 1)[1].split("```")[1]
+    return [ln for ln in block.splitlines() if ln.startswith("gridxpand ")]
+
+
+def test_readme_shows_every_subcommand():
+    shown = {shlex.split(ln)[1] for ln in _readme_command_lines()}
+    assert shown == {"validate", "pf", "scenario", "plan", "assess", "export-mps", "fleet"}
+
+
+# flags a subcommand does not read are rejected, not silently ignored
+_UNREAD_FLAGS = [f"gridxpand scenario $TUTORIAL {flag}" for flag in
+                 ("--region CA", "--costs c.csv", "--conductors k.csv", "--gap 0", "--seed 1")]
+_UNREAD_FLAGS.append("gridxpand export-mps $TUTORIAL --out m.mps --gap 0")
+
+
+@pytest.mark.parametrize("line, parses", [(ln, True) for ln in _readme_command_lines()]
+                         + [(ln, False) for ln in _UNREAD_FLAGS])
+def test_command_lines_parse_as_documented(line, parses, capsys):
+    argv = shlex.split(line)[1:]
+    if parses:
+        build_parser().parse_args(argv)
+        return
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
