@@ -1,5 +1,6 @@
 """Expansion-model builder: family counts, big-M values, solved-row behavior."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from gridxpand.solver import solve_lp, solve_milp
 
 from conftest import (
     NOON_CF,
+    ORACLE_CASES,
     chain_feeder,
     cs_unit,
     day_map,
@@ -388,3 +390,136 @@ def test_variable_capacity_cut_scales_with_transformer_rating():
         coeff = {ref.family: c for ref, c in con.terms}
         assert coeff["f_trf"] == pytest.approx(-intercepts[e], abs=1e-9)
         assert con.rhs == 0.0
+
+
+# -- golden parity: MPS bytes, row tags and variable names ---------------------------
+
+def _model_digests(model, path):
+    from gridxpand.mps import export_model
+    export_model(model, str(path))
+
+    return tuple(hashlib.sha256(data).hexdigest() for data in (
+        path.read_bytes(),
+        "\n".join(con.tag for con in model.constraints).encode(),
+        "\n".join(v.name for v in model.variables).encode()))
+
+
+def _golden_models(tutorial_net):
+    from gridxpand.scenarios import first_round_model, make_scenario, storage_cs_sites
+    for label in ("base", "highpv", "highload"):
+        scen = make_scenario(tutorial_net, label)
+        yield f"{label}/off", first_round_model(tutorial_net, scen, False)
+        yield f"{label}/optimal", first_round_model(tutorial_net, scen, True)
+        for bus in storage_cs_sites(scen.network):
+            yield f"{label}/fixed:{bus}", first_round_model(
+                tutorial_net, scen, True, "fixed", fixed_site=bus)
+    for name, factory in ORACLE_CASES:
+        net, cand, kw = factory()
+        yield name, build(net, cand, "optimal", **kw)
+    net, cand = rich_feeder()
+    yield "rich/off", build(net, cand)
+    yield "rich/optimal", build(net, cand, "optimal", cs_capacity=0.2)
+    yield "rich/fixed:b2", build(net, cand, "fixed", cs_capacity=0.2, fixed_site="b2")
+
+
+# sha256 of (MPS bytes, row tags, variable names), recorded from the row-by-row builder
+GOLDEN = {
+    'base/off': (
+        '1d3de03ccbecdaf372b288932ccbd6458d897d29eadfccf64b0917dc250f7460',
+        '1d0a30b8b9dd51c8ab34e1a2b3c2d2a44244079b19f8ba1556fe4a545cb3f543',
+        'a85356f9b69fad9540b5fd3af06fc38ad8ac9024940f60a38a3c9b39a9c234ed'),
+    'base/optimal': (
+        '114ebcc6261b824a90ca74516e6a006212ad1f38399c1dea99bf2309c106a97f',
+        '184eaf763842f7af4e1f311aeb74dd34a65701af3298a0a8bde94ca964496d43',
+        '05a1ddf9db0f431d1e1ccb9f875b5960931dd6267806dc44a634f9623c32a524'),
+    'base/fixed:b1': (
+        '810b1acec46b8653e01be1843ca267168cb57bd02ef9b2aaa0b8552dcf3218c8',
+        '184eaf763842f7af4e1f311aeb74dd34a65701af3298a0a8bde94ca964496d43',
+        '05a1ddf9db0f431d1e1ccb9f875b5960931dd6267806dc44a634f9623c32a524'),
+    'base/fixed:b2': (
+        'e0fb32e9c8b7ef52f80929326fad3890598a9a9f14840b8826fb6bf02048e7ce',
+        '184eaf763842f7af4e1f311aeb74dd34a65701af3298a0a8bde94ca964496d43',
+        '05a1ddf9db0f431d1e1ccb9f875b5960931dd6267806dc44a634f9623c32a524'),
+    'base/fixed:b3': (
+        '3aa4719a1ed8d342ac53362655f52cc85bae7a0f107cb1d9418a66e8574fb95f',
+        '184eaf763842f7af4e1f311aeb74dd34a65701af3298a0a8bde94ca964496d43',
+        '05a1ddf9db0f431d1e1ccb9f875b5960931dd6267806dc44a634f9623c32a524'),
+    'highpv/off': (
+        'f49317c808237e8a441c36441a9e78c26957e8e4dfd1d5551fc5f8f480c44faa',
+        '02ecae84fc4efdaffad038d27c96d6407aa47792efa449688ec0603d017da152',
+        '07684b8ac7c36329a59006ab195a0c85713266e986a808174eb69d6a348a565a'),
+    'highpv/optimal': (
+        '56365aedf5c18a96f0db0719b56881da203ab1f2aa82076a69f2b0eb8ed5ea2d',
+        '8f6577b90a8da0d2312a3de1b39c611ad4874f5268524f2c8285f212b46c7a31',
+        '3255ff8c60f42edf017cd3c97a0af6ed23d52b1bb3f8aca42f9064e54736157e'),
+    'highpv/fixed:b1': (
+        '61df4722c9c56a0e110f34451952a01719af1a56a73857d606ae93c59e02eefa',
+        '8f6577b90a8da0d2312a3de1b39c611ad4874f5268524f2c8285f212b46c7a31',
+        '3255ff8c60f42edf017cd3c97a0af6ed23d52b1bb3f8aca42f9064e54736157e'),
+    'highpv/fixed:b2': (
+        'f3cf8a16266bed12bfdc54b6e6587a041a2b1af545b5b3767f6875556e86375c',
+        '8f6577b90a8da0d2312a3de1b39c611ad4874f5268524f2c8285f212b46c7a31',
+        '3255ff8c60f42edf017cd3c97a0af6ed23d52b1bb3f8aca42f9064e54736157e'),
+    'highpv/fixed:b3': (
+        'fa232d58a3b568d759f343383da3978c7493dda42b997bda307dae3eecbfd9f0',
+        '8f6577b90a8da0d2312a3de1b39c611ad4874f5268524f2c8285f212b46c7a31',
+        '3255ff8c60f42edf017cd3c97a0af6ed23d52b1bb3f8aca42f9064e54736157e'),
+    'highload/off': (
+        '62a0cdd43a0c7c647d3a80a0aa5a75e8da91ee3467151851c7ab1883a605d4ae',
+        '1d0a30b8b9dd51c8ab34e1a2b3c2d2a44244079b19f8ba1556fe4a545cb3f543',
+        'a85356f9b69fad9540b5fd3af06fc38ad8ac9024940f60a38a3c9b39a9c234ed'),
+    'highload/optimal': (
+        '54c9aebe089765315f14e6c9ecb4aa82eba1260e00445f6505b8ef946443bc8f',
+        '184eaf763842f7af4e1f311aeb74dd34a65701af3298a0a8bde94ca964496d43',
+        '05a1ddf9db0f431d1e1ccb9f875b5960931dd6267806dc44a634f9623c32a524'),
+    'highload/fixed:b1': (
+        'fb82d7e4d9dfd97df9c50e4c9f786e1278b3eda9c7928bda1b6b5f00072e3b9b',
+        '184eaf763842f7af4e1f311aeb74dd34a65701af3298a0a8bde94ca964496d43',
+        '05a1ddf9db0f431d1e1ccb9f875b5960931dd6267806dc44a634f9623c32a524'),
+    'highload/fixed:b2': (
+        '89372c8b6f4ae0368de2c2c1953e2b14b8fcb22904d828893ee4c0cb5e60d837',
+        '184eaf763842f7af4e1f311aeb74dd34a65701af3298a0a8bde94ca964496d43',
+        '05a1ddf9db0f431d1e1ccb9f875b5960931dd6267806dc44a634f9623c32a524'),
+    'highload/fixed:b3': (
+        '64eced4d85a762c2038ec6579a2644016d27490b0475e3a34aaa0dffe7d3d95b',
+        '184eaf763842f7af4e1f311aeb74dd34a65701af3298a0a8bde94ca964496d43',
+        '05a1ddf9db0f431d1e1ccb9f875b5960931dd6267806dc44a634f9623c32a524'),
+    'line_upgrade': (
+        '8eb9d0d68bee0005b3586ed71b99d0b78ff71066927a69813cbe6012f139d67b',
+        'e09516e6d1b89c632a7596eeda7fdad46d702cb83f05379295117f7428ba5b93',
+        'dd34075380d9fa8e269056a190ca0c898727276824c214f776196aada99d911b'),
+    'storage_shave': (
+        '4d33b026a278c5d0ec00ff4fb3ef0a3f979ee937f2a29c2114b8d164a1e39c78',
+        'a9663ab4dab498aeda9f5c05f7f7fb78abde1abe436071f1286e760845aa5b3b',
+        'a9f549f5ef06acd4e0448d90a417a91d5ad076614256bff3de69bc7374049fd9'),
+    'vr_undervoltage': (
+        '1f3f5de8bbb26bdd9af1a96a2ed707a93fa17367f4cc10c50c6bb32b56f5a670',
+        'ac3f1ec6efcd038c789c2a19a05df646f6aa741d59dc9dd04b3dc5ef52c454bc',
+        'e1c3a28a774fcc9202ddc6791dc9102e0cdafee084a6a94406f0c65b37dddc65'),
+    'cs_deferral': (
+        '16545ea7cc3eecd61a3a05475c4ba0ab62f616158db313aa701f9d4a10c4aab4',
+        '346fdd98ba94f1d39e6740f04521e32c92157425c645d3d95b7eae21573e82c0',
+        'cfcd6d1bee9f272a7c0e30fb0d9771e86c9acf83898502267ad7ea98b31a4453'),
+    'multi_binary': (
+        'd959fe3b61b712feb7d95e185f29e38c1d31b75bad64a1102e197bd89506cace',
+        '1e3d55530aa9a99d85d66e1c6076c1442712c515c3589046deef73ef10c401e3',
+        '0862bb01314848c01d3ff9265123fb916bd8413ba296a1bc46c3be23d9e2f06d'),
+    'rich/off': (
+        'd11746ab5b0958e71e7fb6b58792f1ebb4d2b062dd0d1e91d9ad459822eae6ce',
+        '092cb6647c0c36cd21dcb51c2848979b7609b29d59d08f77dbbcf41624c5317c',
+        '20c5b7ade9e9193de6f111f58b33d0b77a0a4192e2b5ec875a25c1f80fd9015e'),
+    'rich/optimal': (
+        '6aebf9ec05d4311594123021f1482522d2fa5a8b3f373742831d89a031eb791c',
+        '3c823a677c1982df3b054399946e045c3cba49aabeaf3cd851c14cbc99296459',
+        '26f6f9f1713670ff940820b5bcf08810945e3b5ff1f8fafca81287de0a4d865c'),
+    'rich/fixed:b2': (
+        '8d3277cb5adda8e2d99efeba7adb61d1913c3231990d7eea2cd89a4aac70df5a',
+        '3c823a677c1982df3b054399946e045c3cba49aabeaf3cd851c14cbc99296459',
+        '26f6f9f1713670ff940820b5bcf08810945e3b5ff1f8fafca81287de0a4d865c'),
+}
+
+
+def test_models_match_golden_digests(tutorial_net, tmp_path):
+    got = {name: _model_digests(model, tmp_path / "m.mps")
+           for name, model in _golden_models(tutorial_net)}
+    assert got == GOLDEN
