@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .milp import EQUAL, GREATER_EQUAL, LESS_EQUAL, MilpModel, VarRef
 from .network import (
     CandidateUpgradeKind,
@@ -81,12 +83,15 @@ class CandidateSet:
 
 @dataclass
 class _Ctx:
-    """Variable handles shared by the per-family builders."""
+    """Column positions shared by the per-family builders.
+
+    Hourly families map an element id to its columns over the horizon (one
+    per ``times`` entry); investment families map an element id to a column.
+    """
 
     net: FeederNetwork
     model: MilpModel
     times: list[tuple[str, int]]
-    weights: dict[str, float]
     fixed_segs: list[LineSegment]
     cand_segs: list[LineSegment]
     vr_segs: list[LineSegment]  # existing + candidate regulators
@@ -103,15 +108,15 @@ class _Ctx:
     f_q: dict = field(default_factory=dict)
     v2: dict = field(default_factory=dict)
     v2mid: dict = field(default_factory=dict)
-    p_subs: dict = field(default_factory=dict)
-    q_subs: dict = field(default_factory=dict)
-    slack: dict = field(default_factory=dict)  # (axis, sign, bus, t) -> var
+    p_subs: np.ndarray | None = None
+    q_subs: np.ndarray | None = None
+    slack: dict = field(default_factory=dict)  # (axis, sign) -> columns, (hour, bus)
     g_rts: dict = field(default_factory=dict)
     g_cs: dict = field(default_factory=dict)
     g_crt: dict = field(default_factory=dict)
     x_cs: dict = field(default_factory=dict)
-    x_line: dict = field(default_factory=dict)
-    x_fh: VarRef | None = None
+    x_line: dict = field(default_factory=dict)  # segment -> one column per option
+    x_fh: int = -1
     x_vr: dict = field(default_factory=dict)
     x_st: dict = field(default_factory=dict)
     x_st_bin: dict = field(default_factory=dict)
@@ -119,9 +124,29 @@ class _Ctx:
     p_out: dict = field(default_factory=dict)
     q_st: dict = field(default_factory=dict)
     soc: dict = field(default_factory=dict)
-    soc0: dict = field(default_factory=dict)
+    soc0: dict = field(default_factory=dict)  # unit -> one column per day
     f_trf: dict = field(default_factory=dict)
     f_upd: dict = field(default_factory=dict)
+
+
+def _series(profile, days) -> np.ndarray:
+    """A per-day profile as one value per (day, hour) of the horizon."""
+    return np.concatenate([np.asarray(profile[d.label], dtype=float)[:d.hours]
+                           for d in days])
+
+
+def _stack(by_id: dict, ids) -> np.ndarray:
+    """Hourly columns of the listed elements, element-major."""
+    return np.stack([by_id[i] for i in ids]).ravel() if ids else np.zeros(0, dtype=int)
+
+
+def _rows(m: MilpModel, axes, kinds) -> None:
+    """Append a row block and count its rows under each kind's family."""
+    m.add_rows(axes, kinds)
+    n = math.prod(len(a) for a in axes)
+    if n:
+        for tag, *_ in kinds:
+            m.count(tag.split("[")[0], n)
 
 
 def _classify(net: FeederNetwork, candidates: CandidateSet) -> tuple[
@@ -232,7 +257,6 @@ def build(net: FeederNetwork, candidates: CandidateSet, siting_mode: str = "opti
     ctx = _Ctx(
         net=net, model=model,
         times=net.time_index(),
-        weights={d.label: d.weight for d in net.scenario_days},
         fixed_segs=fixed, cand_segs=cand, vr_segs=vr, vr_cand_ids=vr_cand_ids,
         head=head, fh_candidate=candidates.feeder_head_upgrade,
         storage_existing=storage_existing, storage_cand=storage_cand,
@@ -259,22 +283,25 @@ def _declare_variables(ctx: _Ctx) -> None:
     net, m = ctx.net, ctx.model
     INF = float("inf")
     head_kind: FeederHeadKind = ctx.head.kind
+    times, days = ctx.times, net.scenario_days
+    T = len(times)
+    hours = np.arange(T)
 
     fixed_ids = {s.id for s in ctx.fixed_segs}
-    for seg in net.segments:
-        for d, h in ctx.times:
-            if seg.id in fixed_ids:
-                cap = seg.capacity
-                ctx.f_p[seg.id, d, h] = m.add_var("f_p", (seg.id, d, h), lo=-cap, hi=cap)
-                ctx.f_q[seg.id, d, h] = m.add_var("f_q", (seg.id, d, h), lo=-cap, hi=cap)
-            else:
-                ctx.f_p[seg.id, d, h] = m.add_var("f_p", (seg.id, d, h), lo=-INF, hi=INF)
-                ctx.f_q[seg.id, d, h] = m.add_var("f_q", (seg.id, d, h), lo=-INF, hi=INF)
-    m.count("Eq6", len(ctx.fixed_segs) * len(ctx.times))
-    m.count("Eq7", len(ctx.fixed_segs) * len(ctx.times))
+    seg_ids = [s.id for s in net.segments]
+    cap = np.array([s.capacity if s.id in fixed_ids else INF for s in net.segments])
+    cols = m.reserve(2 * len(seg_ids) * T) + 2 * np.arange(len(seg_ids) * T)
+    lo, hi = np.repeat(-cap, T), np.repeat(cap, T)
+    # f_p and f_q alternate per (segment, hour)
+    for name, by_id, pos in (("f_p", ctx.f_p, cols), ("f_q", ctx.f_q, cols + 1)):
+        m.add_vars(name, (seg_ids, times), lo=lo, hi=hi, pos=pos)
+        by_id.update(zip(seg_ids, pos.reshape(len(seg_ids), T)))
+    m.count("Eq6", len(ctx.fixed_segs) * T)
+    m.count("Eq7", len(ctx.fixed_segs) * T)
 
     source = net.source_bus
     vref2 = net.v_ref ** 2
+    bounds = []
     for b in net.buses:
         lo, hi = b.vmin ** 2, b.vmax ** 2
         if b.id == source:
@@ -282,92 +309,109 @@ def _declare_variables(ctx: _Ctx) -> None:
                 raise BuildError(f"reference voltage {net.v_ref} outside the band of "
                                  f"bus {b.id!r}")
             lo = hi = vref2
-        for d, h in ctx.times:
-            ctx.v2[b.id, d, h] = m.add_var("v2", (b.id, d, h), lo=lo, hi=hi)
-    m.count("Eq5", len(net.buses) * len(ctx.times))
-    m.count("Eq4", len(ctx.times))  # one feeder head
+        bounds.append((lo, hi))
+    bus_ids = [b.id for b in net.buses]
+    lo, hi = np.array(bounds).reshape(len(bus_ids), 2).T
+    pos = m.add_vars("v2", (bus_ids, times), lo=np.repeat(lo, T), hi=np.repeat(hi, T))
+    ctx.v2.update(zip(bus_ids, pos.reshape(len(bus_ids), T)))
+    m.count("Eq5", len(net.buses) * T)
+    m.count("Eq4", T)  # one feeder head
 
-    for seg in [ctx.head] + ctx.vr_segs:
-        for d, h in ctx.times:
-            ctx.v2mid[seg.id, d, h] = m.add_var("v2mid", (seg.id, d, h), lo=0.0, hi=INF)
+    tap_ids = [s.id for s in [ctx.head] + ctx.vr_segs]
+    pos = m.add_vars("v2mid", (tap_ids, times), lo=0.0, hi=INF)
+    ctx.v2mid.update(zip(tap_ids, pos.reshape(len(tap_ids), T)))
 
-    for d, h in ctx.times:
-        ctx.p_subs[d, h] = m.add_var("p_subs", (d, h), lo=-INF, hi=INF)
-        ctx.q_subs[d, h] = m.add_var("q_subs", (d, h), lo=-INF, hi=INF)
-        for b in net.buses:
-            for axis in ("p", "q"):
-                for sign in ("pos", "neg"):
-                    ctx.slack[axis, sign, b.id, d, h] = m.add_var(
-                        f"slack_{axis}_{sign}", (b.id, d, h), lo=0.0, hi=INF)
+    # per hour: p_subs, q_subs, then the four imbalance slacks of every bus
+    N = len(bus_ids)
+    stride = 2 + 4 * N
+    first = m.reserve(T * stride) + stride * hours
+    ctx.p_subs = m.add_vars("p_subs", (times,), lo=-INF, hi=INF, pos=first)
+    ctx.q_subs = m.add_vars("q_subs", (times,), lo=-INF, hi=INF, pos=first + 1)
+    k = 0
+    for axis in ("p", "q"):
+        for sign in ("pos", "neg"):
+            pos = (first[:, None] + 2 + k + 4 * np.arange(N)[None, :]).ravel()
+            ctx.slack[axis, sign] = m.add_vars(f"slack_{axis}_{sign}", (times, bus_ids),
+                                               lo=0.0, hi=INF, pos=pos, perm=(1, 0))
+            k += 1
 
-    for u in net.rooftop_units():
-        for d, h in ctx.times:
-            out = u.installed_capacity * float(u.capacity_factor[d][h])
-            ctx.g_rts[u.id, d, h] = m.add_var("g_rts", (u.id, d, h), lo=out, hi=out)
-    m.count("Eq30", len(net.rooftop_units()) * len(ctx.times))
+    rooftop = net.rooftop_units()
+    for u in rooftop:
+        out = u.installed_capacity * _series(u.capacity_factor, days)
+        ctx.g_rts[u.id] = m.add_vars("g_rts", ([u.id], times), lo=out, hi=out)
+    m.count("Eq30", len(rooftop) * T)
 
     for u in ctx.cs_units:
+        first = m.reserve(1 + 2 * T)
         if ctx.siting_mode == "fixed":
             cap = ctx.cs_capacity if u.bus == ctx.fixed_site else 0.0
-            ctx.x_cs[u.id] = m.add_var("x_cs", (u.id,), lo=cap, hi=cap)
+            lo, hi = cap, cap
         else:
-            ctx.x_cs[u.id] = m.add_var("x_cs", (u.id,), lo=0.0, hi=u.invest_cap)
-        for d, h in ctx.times:
-            ctx.g_cs[u.id, d, h] = m.add_var("g_cs", (u.id, d, h), lo=0.0, hi=INF)
-            ctx.g_crt[u.id, d, h] = m.add_var("g_crt", (u.id, d, h), lo=0.0, hi=INF)
+            lo, hi = 0.0, u.invest_cap
+        ctx.x_cs[u.id] = int(m.add_vars("x_cs", ([u.id],), lo=lo, hi=hi,
+                                        pos=np.array([first]))[0])
+        pos = first + 1 + 2 * hours
+        ctx.g_cs[u.id] = m.add_vars("g_cs", ([u.id], times), lo=0.0, hi=INF, pos=pos)
+        ctx.g_crt[u.id] = m.add_vars("g_crt", ([u.id], times), lo=0.0, hi=INF,
+                                     pos=pos + 1)
 
     for seg in ctx.cand_segs:
         opts = seg.kind.options
-        for r in range(len(opts)):
-            ctx.x_line[seg.id, r] = m.add_var("x_line", (seg.id, r), lo=0, hi=1, binary=True)
-        ctx.f_upd[seg.id] = m.add_var("f_upd", (seg.id,), lo=0.0,
-                                      hi=max(o.capacity for o in opts))
+        ctx.x_line[seg.id] = m.add_vars("x_line", ([seg.id], range(len(opts))),
+                                        lo=0, hi=1, binary=True)
+        ctx.f_upd[seg.id] = _one(m, "f_upd", seg.id, 0.0, max(o.capacity for o in opts))
         m.count("Eq13", len(opts))
 
     fh_hi = 1.0 if (ctx.fh_candidate and head_kind.upgrade_capacity > 0) else 0.0
-    ctx.x_fh = m.add_var("x_fh", (ctx.head.id,), lo=0.0, hi=fh_hi, binary=True)
+    ctx.x_fh = _one(m, "x_fh", ctx.head.id, 0.0, fh_hi, binary=True)
     m.count("Eq24", 1)
 
     cap_hi = head_kind.base_capacity + head_kind.upgrade_capacity
-    ctx.f_trf[ctx.head.id] = m.add_var("f_trf", (ctx.head.id,), lo=0.0, hi=cap_hi)
+    ctx.f_trf[ctx.head.id] = _one(m, "f_trf", ctx.head.id, 0.0, cap_hi)
     for seg in ctx.vr_segs:
         cap = seg.kind.capacity
-        ctx.f_trf[seg.id] = m.add_var("f_trf", (seg.id,), lo=cap, hi=cap)
+        ctx.f_trf[seg.id] = _one(m, "f_trf", seg.id, cap, cap)
     m.count("Eq23", len(ctx.vr_segs))
 
     for seg in ctx.vr_segs:
         if seg.id in ctx.vr_cand_ids:
-            ctx.x_vr[seg.id] = m.add_var("x_vr", (seg.id,), lo=0, hi=1, binary=True)
+            ctx.x_vr[seg.id] = _one(m, "x_vr", seg.id, 0, 1, binary=True)
     m.count("Eq21", len(ctx.x_vr))
 
     storage_all = ctx.storage_existing + ctx.storage_cand
     for u in ctx.storage_cand:
-        ctx.x_st[u.id] = m.add_var("x_st", (u.id,), lo=0.0, hi=u.invest_cap)
-        ctx.x_st_bin[u.id] = m.add_var("x_st_bin", (u.id,), lo=0, hi=1, binary=True)
+        ctx.x_st[u.id] = _one(m, "x_st", u.id, 0.0, u.invest_cap)
+        ctx.x_st_bin[u.id] = _one(m, "x_st_bin", u.id, 0, 1, binary=True)
     if not ctx.storage_cand:
         # keep the site-selection row well-defined with a zero-capacity site
-        ctx.x_st_bin[DUMMY_SITE] = m.add_var("x_st_bin", (DUMMY_SITE,), lo=0, hi=1,
-                                             binary=True)
+        ctx.x_st_bin[DUMMY_SITE] = _one(m, "x_st_bin", DUMMY_SITE, 0, 1, binary=True)
     m.count("Eq35", len(ctx.x_st_bin))
 
+    # per unit: p_in, p_out, soc and q_st per hour, then soc0 per day
     for u in storage_all:
         cand = u.status == "candidate"
         p_hi = (u.invest_cap * u.p_in_max) if cand else u.p_in_max
         o_hi = (u.invest_cap * u.p_out_max) if cand else u.p_out_max
         s_hi = u.duration * p_hi
         q_hi = u.reactive_fraction * p_hi
-        for d, h in ctx.times:
-            ctx.p_in[u.id, d, h] = m.add_var("p_in", (u.id, d, h), lo=0.0, hi=p_hi)
-            ctx.p_out[u.id, d, h] = m.add_var("p_out", (u.id, d, h), lo=0.0, hi=o_hi)
-            ctx.soc[u.id, d, h] = m.add_var("soc", (u.id, d, h), lo=0.0, hi=s_hi)
-            ctx.q_st[u.id, d, h] = m.add_var("q_st", (u.id, d, h), lo=-q_hi, hi=q_hi)
-        for day in ctx.net.scenario_days:
-            ctx.soc0[u.id, day.label] = m.add_var("soc0", (u.id, day.label),
-                                                  lo=0.0, hi=s_hi)
-    m.count("Eq40", len(ctx.storage_existing) * len(ctx.times))
-    m.count("Eq42", len(ctx.storage_existing) * len(ctx.times))
-    m.count("Eq44", len(ctx.storage_existing) * len(ctx.times))
-    m.count("Eq46", len(ctx.storage_existing) * len(ctx.times))
+        first = m.reserve(4 * T + len(days))
+        for k, (name, by_id, lo, hi) in enumerate((
+                ("p_in", ctx.p_in, 0.0, p_hi), ("p_out", ctx.p_out, 0.0, o_hi),
+                ("soc", ctx.soc, 0.0, s_hi), ("q_st", ctx.q_st, -q_hi, q_hi))):
+            by_id[u.id] = m.add_vars(name, ([u.id], times), lo=lo, hi=hi,
+                                     pos=first + k + 4 * hours)
+        ctx.soc0[u.id] = m.add_vars("soc0", ([u.id], [d.label for d in days]),
+                                    lo=0.0, hi=s_hi,
+                                    pos=first + 4 * T + np.arange(len(days)))
+    m.count("Eq40", len(ctx.storage_existing) * T)
+    m.count("Eq42", len(ctx.storage_existing) * T)
+    m.count("Eq44", len(ctx.storage_existing) * T)
+    m.count("Eq46", len(ctx.storage_existing) * T)
+
+
+def _one(m: MilpModel, family: str, element: str, lo, hi, binary: bool = False) -> int:
+    """Declare the single variable ``family[element]``; returns its column."""
+    return int(m.add_vars(family, ([element],), lo=lo, hi=hi, binary=binary)[0])
 
 
 # -- objective -------------------------------------------------------------------
@@ -376,23 +420,28 @@ def _declare_variables(ctx: _Ctx) -> None:
 def _build_objective(ctx: _Ctx) -> None:
     net, m = ctx.net, ctx.model
     base = net.base_mva
-    for u in ctx.storage_cand:
-        m.add_objective("storage", ctx.x_st[u.id], u.annual_cost_per_mw * base)
-    for seg in ctx.vr_segs:
-        if seg.id in ctx.x_vr:
-            m.add_objective("regulator", ctx.x_vr[seg.id], seg.kind.install_cost)
-    for seg in ctx.cand_segs:
-        for r, opt in enumerate(seg.kind.options):
-            m.add_objective("line", ctx.x_line[seg.id, r],
-                            opt.annual_cost_per_mva * opt.capacity * base)
-    m.add_objective("feeder_head", ctx.x_fh, ctx.head.kind.upgrade_cost)
-    for (axis, sign, bus, d, h), ref in ctx.slack.items():
-        m.add_objective("imbalance", ref, net.imbalance_cost * ctx.weights[d] * base)
-    for u in ctx.cs_units:
-        for d, h in ctx.times:
-            price = float(net.curtailment_price[d][h]) if d in net.curtailment_price else 0.0
-            m.add_objective("curtailment", ctx.g_crt[u.id, d, h],
-                            price * ctx.weights[d] * base)
+    m.add_costs("storage", [ctx.x_st[u.id] for u in ctx.storage_cand],
+                [u.annual_cost_per_mw * base for u in ctx.storage_cand])
+    vr = [seg for seg in ctx.vr_segs if seg.id in ctx.x_vr]
+    m.add_costs("regulator", [ctx.x_vr[seg.id] for seg in vr],
+                [seg.kind.install_cost for seg in vr])
+    m.add_costs("line", np.concatenate([ctx.x_line[seg.id] for seg in ctx.cand_segs])
+                if ctx.cand_segs else [],
+                [opt.annual_cost_per_mva * opt.capacity * base
+                 for seg in ctx.cand_segs for opt in seg.kind.options])
+    m.add_costs("feeder_head", [ctx.x_fh], ctx.head.kind.upgrade_cost)
+    days = net.scenario_days
+    weight = np.repeat([d.weight for d in days], [d.hours for d in days])
+    # the slacks in column order: hour by hour, bus by bus, p/q pos/neg
+    slack = np.stack([ctx.slack[axis, sign] for axis in ("p", "q")
+                      for sign in ("pos", "neg")], axis=1)
+    per_hour = (net.imbalance_cost * weight * base).repeat(slack.size // len(weight))
+    m.add_costs("imbalance", slack.ravel(), per_hour)
+    prices = {d.label: np.asarray(net.curtailment_price[d.label], dtype=float)[:d.hours]
+              if d.label in net.curtailment_price else np.zeros(d.hours) for d in days}
+    price = _series(prices, days) * weight * base
+    m.add_costs("curtailment", _stack(ctx.g_crt, [u.id for u in ctx.cs_units]),
+                np.tile(price, len(ctx.cs_units)))
 
 
 # -- nodal balance ----------------------------------------------------------------
@@ -400,79 +449,86 @@ def _build_objective(ctx: _Ctx) -> None:
 
 def _build_nodal(ctx: _Ctx) -> None:
     net, m = ctx.net, ctx.model
-    source = net.source_bus
-    into: dict[str, list[LineSegment]] = {b.id: [] for b in net.buses}
-    outof: dict[str, list[LineSegment]] = {b.id: [] for b in net.buses}
-    for seg in net.segments:
-        into[seg.to_bus].append(seg)
-        outof[seg.from_bus].append(seg)
+    days = net.scenario_days
+    T = len(ctx.times)
+    bus_ids = [b.id for b in net.buses]
+    N = len(bus_ids)
+    at = {b: i for i, b in enumerate(bus_ids)}
+    hours = np.arange(T)
+
+    def cells(buses) -> np.ndarray:
+        """Cells of the (hour, bus) grid at each listed bus, bus-major."""
+        return (np.array([at[b] for b in buses], dtype=int)[:, None]
+                + N * hours[None, :]).ravel()
+
+    segs = net.segments
+    seg_ids = [s.id for s in segs]
+    into = cells([s.to_bus for s in segs])
+    outof = cells([s.from_bus for s in segs])
+    src = cells([net.source_bus])
+    rooftop = net.rooftop_units()
+    storage = ctx.storage_existing + ctx.storage_cand
 
     beta = net.loss_factors
-    rooftop = net.rooftop_units()
-    storage_by_bus: dict[str, list[StorageUnit]] = {}
-    for u in ctx.storage_existing + ctx.storage_cand:
-        storage_by_bus.setdefault(u.bus, []).append(u)
+    incident: dict[str, list[str]] = {b: [] for b in bus_ids}
+    for seg in segs:
+        incident[seg.to_bus].append(seg.id)
+    for seg in segs:
+        incident[seg.from_bus].append(seg.id)
+    beta_p = [sum(beta.get(sid, (0.0, 0.0))[0] for sid in incident[b]) for b in bus_ids]
+    beta_q = [sum(beta.get(sid, (0.0, 0.0))[1] for sid in incident[b]) for b in bus_ids]
+    total_p = np.zeros(T)
+    total_q = np.zeros(T)
+    for b in net.buses:  # bus by bus, as the hourly totals sum
+        total_p = total_p + _series(b.active_load, days)
+        total_q = total_q + _series(b.reactive_load, days)
+    half_p = np.array([bp / 2.0 for bp in beta_p])
+    half_q = np.array([bq / 2.0 for bq in beta_q])
+    load_p = np.stack([_series(b.active_load, days) for b in net.buses], axis=1)
+    load_q = np.stack([_series(b.reactive_load, days) for b in net.buses], axis=1)
 
-    for d, h in ctx.times:
-        total_p = net.total_active_load(d, h)
-        total_q = net.total_reactive_load(d, h)
-        for b in net.buses:
-            incident = into[b.id] + outof[b.id]
-            beta_p = sum(beta.get(s.id, (0.0, 0.0))[0] for s in incident)
-            beta_q = sum(beta.get(s.id, (0.0, 0.0))[1] for s in incident)
-
-            terms = []
-            if b.id == source:
-                terms.append((ctx.p_subs[d, h], 1.0))
-            for seg in into[b.id]:
-                terms.append((ctx.f_p[seg.id, d, h], 1.0))
-            for seg in outof[b.id]:
-                terms.append((ctx.f_p[seg.id, d, h], -1.0))
-            for u in ctx.cs_units:
-                if u.bus == b.id:
-                    terms.append((ctx.g_cs[u.id, d, h], 1.0))
-            for u in rooftop:
-                if u.bus == b.id:
-                    terms.append((ctx.g_rts[u.id, d, h], 1.0))
-            for u in storage_by_bus.get(b.id, []):
-                terms.append((ctx.p_out[u.id, d, h], 1.0))
-                terms.append((ctx.p_in[u.id, d, h], -1.0))
-            # loss allocation: half of each incident segment's loss share of
-            # the system-wide net load; generation reduces the allocated loss
-            if beta_p:
-                for u in rooftop:
-                    terms.append((ctx.g_rts[u.id, d, h], beta_p / 2.0))
-                for u in ctx.cs_units:
-                    terms.append((ctx.g_cs[u.id, d, h], beta_p / 2.0))
-            terms.append((ctx.slack["p", "neg", b.id, d, h], 1.0))
-            terms.append((ctx.slack["p", "pos", b.id, d, h], -1.0))
-            rhs = float(b.active_load[d][h]) + beta_p / 2.0 * total_p
-            m.add_constraint(terms, EQUAL, rhs, tag=f"Eq2[{b.id},{d},{h}]")
-            m.count("Eq2")
-
-            terms = []
-            if b.id == source:
-                terms.append((ctx.q_subs[d, h], 1.0))
-            for seg in into[b.id]:
-                terms.append((ctx.f_q[seg.id, d, h], 1.0))
-            for seg in outof[b.id]:
-                terms.append((ctx.f_q[seg.id, d, h], -1.0))
-            for u in storage_by_bus.get(b.id, []):
-                terms.append((ctx.q_st[u.id, d, h], 1.0))
-            terms.append((ctx.slack["q", "neg", b.id, d, h], 1.0))
-            terms.append((ctx.slack["q", "pos", b.id, d, h], -1.0))
-            rhs = float(b.reactive_load[d][h]) + beta_q / 2.0 * total_q
-            m.add_constraint(terms, EQUAL, rhs, tag=f"Eq3[{b.id},{d},{h}]")
-            m.count("Eq3")
+    # loss allocation: half of each incident segment's loss share of the
+    # system-wide net load; generation reduces the allocated loss
+    lossy = [i for i, bp in enumerate(beta_p) if bp]
+    loss_terms = [(np.tile(cols, len(lossy)), half_p[lossy].repeat(T), cells(
+                   [bus_ids[i] for i in lossy]))
+                  for cols in [ctx.g_rts[u.id] for u in rooftop]
+                  + [ctx.g_cs[u.id] for u in ctx.cs_units]]
+    p_terms = [
+        (ctx.p_subs, 1.0, src),
+        (_stack(ctx.f_p, seg_ids), 1.0, into),
+        (_stack(ctx.f_p, seg_ids), -1.0, outof),
+        (_stack(ctx.g_cs, [u.id for u in ctx.cs_units]), 1.0,
+         cells([u.bus for u in ctx.cs_units])),
+        (_stack(ctx.g_rts, [u.id for u in rooftop]), 1.0, cells([u.bus for u in rooftop])),
+        (_stack(ctx.p_out, [u.id for u in storage]), 1.0, cells([u.bus for u in storage])),
+        (_stack(ctx.p_in, [u.id for u in storage]), -1.0, cells([u.bus for u in storage])),
+        *loss_terms,
+        (ctx.slack["p", "neg"], 1.0),
+        (ctx.slack["p", "pos"], -1.0),
+    ]
+    q_terms = [
+        (ctx.q_subs, 1.0, src),
+        (_stack(ctx.f_q, seg_ids), 1.0, into),
+        (_stack(ctx.f_q, seg_ids), -1.0, outof),
+        (_stack(ctx.q_st, [u.id for u in storage]), 1.0, cells([u.bus for u in storage])),
+        (ctx.slack["q", "neg"], 1.0),
+        (ctx.slack["q", "pos"], -1.0),
+    ]
+    _rows(m, (ctx.times, bus_ids), [
+        ("Eq2[{2},{0},{1}]", EQUAL, (load_p + half_p[None, :] * total_p[:, None]).ravel(),
+         p_terms),
+        ("Eq3[{2},{0},{1}]", EQUAL, (load_q + half_q[None, :] * total_q[:, None]).ravel(),
+         q_terms),
+    ])
 
 
 # -- fixed lines -------------------------------------------------------------------
 
 
-def _cut_rows(m: MilpModel, fp: VarRef, fq: VarRef, t: tuple,
-              cap_const: float | None, cap_var: VarRef | None,
-              family_pos: str, family_neg: str) -> None:
-    """Octagonal cuts sign*fq <= slope*fp + intercept*cap for one (segment, t)."""
+def _cut_kinds(fp, fq, cap_const, cap_var, family_pos: str, family_neg: str) -> list:
+    """Octagonal cuts sign*fq <= slope*fp + intercept*cap for each (segment, t)."""
+    kinds = []
     for e, sign, slope, intercept in octagon_cuts():
         family = family_pos if sign > 0 else family_neg
         terms = [(fq, float(sign)), (fp, -slope)]
@@ -481,23 +537,28 @@ def _cut_rows(m: MilpModel, fp: VarRef, fq: VarRef, t: tuple,
             rhs = 0.0
         else:
             rhs = intercept * cap_const
-        m.add_constraint(terms, LESS_EQUAL, rhs,
-                         tag=f"{family}[{','.join(str(i) for i in t)},e{e}]")
-        m.count(family)
+        kinds.append((f"{family}[{{0}},{{1}},{{2}},e{e}]", LESS_EQUAL, rhs, terms))
+    return kinds
+
+
+def _per_hour(values, T: int) -> np.ndarray:
+    """One value per element, repeated over the element's hours."""
+    return np.repeat(values, T)
 
 
 def _build_fixed_lines(ctx: _Ctx) -> None:
-    m = ctx.model
-    for seg in ctx.fixed_segs:
-        cap = seg.capacity
-        for d, h in ctx.times:
-            fp, fq = ctx.f_p[seg.id, d, h], ctx.f_q[seg.id, d, h]
-            _cut_rows(m, fp, fq, (seg.id, d, h), cap, None, "Eq8", "Eq9")
-            m.add_constraint(
-                [(ctx.v2[seg.to_bus, d, h], 1.0), (ctx.v2[seg.from_bus, d, h], -1.0),
-                 (fp, 2.0 * seg.resistance), (fq, 2.0 * seg.reactance)],
-                EQUAL, 0.0, tag=f"Eq10[{seg.id},{d},{h}]")
-            m.count("Eq10")
+    m, T = ctx.model, len(ctx.times)
+    segs = ctx.fixed_segs
+    ids = [s.id for s in segs]
+    fp, fq = _stack(ctx.f_p, ids), _stack(ctx.f_q, ids)
+    cap = _per_hour([s.capacity for s in segs], T)
+    _rows(m, (ids, ctx.times), _cut_kinds(fp, fq, cap, None, "Eq8", "Eq9") + [
+        ("Eq10[{0},{1},{2}]", EQUAL, 0.0,
+         [(_stack(ctx.v2, [s.to_bus for s in segs]), 1.0),
+          (_stack(ctx.v2, [s.from_bus for s in segs]), -1.0),
+          (fp, _per_hour([2.0 * s.resistance for s in segs], T)),
+          (fq, _per_hour([2.0 * s.reactance for s in segs], T))]),
+    ])
 
 
 # -- candidate lines ----------------------------------------------------------------
@@ -516,126 +577,107 @@ def _build_candidate_lines(ctx: _Ctx) -> None:
     m = ctx.model
     for seg in ctx.cand_segs:
         opts = seg.kind.options
-        m.add_constraint(
-            [(ctx.f_upd[seg.id], 1.0)] +
-            [(ctx.x_line[seg.id, r], -opt.capacity) for r, opt in enumerate(opts)],
-            EQUAL, 0.0, tag=f"Eq11[{seg.id}]")
-        m.count("Eq11")
-        m.add_constraint([(ctx.x_line[seg.id, r], 1.0) for r in range(len(opts))],
-                         EQUAL, 1.0, tag=f"Eq12[{seg.id}]")
-        m.count("Eq12")
+        x, fupd = ctx.x_line[seg.id], ctx.f_upd[seg.id]
+        _rows(m, ([seg.id],), [
+            ("Eq11[{0}]", EQUAL, 0.0,
+             [(fupd, 1.0)] + [(x[r], -opt.capacity) for r, opt in enumerate(opts)]),
+            ("Eq12[{0}]", EQUAL, 1.0, [(x[r], 1.0) for r in range(len(opts))]),
+        ])
         big_m = _line_big_m(seg, ctx.net)
-        for d, h in ctx.times:
-            fp, fq = ctx.f_p[seg.id, d, h], ctx.f_q[seg.id, d, h]
-            fupd = ctx.f_upd[seg.id]
-            m.add_constraint([(fp, 1.0), (fupd, -1.0)], LESS_EQUAL, 0.0,
-                             tag=f"Eq14[{seg.id},{d},{h},up]")
-            m.add_constraint([(fp, 1.0), (fupd, 1.0)], GREATER_EQUAL, 0.0,
-                             tag=f"Eq14[{seg.id},{d},{h},lo]")
-            m.count("Eq14", 2)
-            m.add_constraint([(fq, 1.0), (fupd, -1.0)], LESS_EQUAL, 0.0,
-                             tag=f"Eq15[{seg.id},{d},{h},up]")
-            m.add_constraint([(fq, 1.0), (fupd, 1.0)], GREATER_EQUAL, 0.0,
-                             tag=f"Eq15[{seg.id},{d},{h},lo]")
-            m.count("Eq15", 2)
-            _cut_rows(m, fp, fq, (seg.id, d, h), None, fupd, "Eq16", "Eq17")
-            v_to = ctx.v2[seg.to_bus, d, h]
-            v_fr = ctx.v2[seg.from_bus, d, h]
-            for r, opt in enumerate(opts):
-                x = ctx.x_line[seg.id, r]
-                # v_to - v_fr + 2(R_r fp + X_r fq) within +-(1-x)M
-                common = [(v_to, 1.0), (v_fr, -1.0),
-                          (fp, 2.0 * opt.resistance), (fq, 2.0 * opt.reactance)]
-                m.add_constraint(common + [(x, big_m)], LESS_EQUAL, big_m,
-                                 tag=f"Eq18[{seg.id},{d},{h},r{r},up]")
-                m.add_constraint(common + [(x, -big_m)], GREATER_EQUAL, -big_m,
-                                 tag=f"Eq18[{seg.id},{d},{h},r{r},lo]")
-                m.count("Eq18", 2)
+        fp, fq = ctx.f_p[seg.id], ctx.f_q[seg.id]
+        v_to, v_fr = ctx.v2[seg.to_bus], ctx.v2[seg.from_bus]
+        kinds = [
+            ("Eq14[{0},{1},{2},up]", LESS_EQUAL, 0.0, [(fp, 1.0), (fupd, -1.0)]),
+            ("Eq14[{0},{1},{2},lo]", GREATER_EQUAL, 0.0, [(fp, 1.0), (fupd, 1.0)]),
+            ("Eq15[{0},{1},{2},up]", LESS_EQUAL, 0.0, [(fq, 1.0), (fupd, -1.0)]),
+            ("Eq15[{0},{1},{2},lo]", GREATER_EQUAL, 0.0, [(fq, 1.0), (fupd, 1.0)]),
+        ] + _cut_kinds(fp, fq, None, fupd, "Eq16", "Eq17")
+        for r, opt in enumerate(opts):
+            # v_to - v_fr + 2(R_r fp + X_r fq) within +-(1-x)M
+            common = [(v_to, 1.0), (v_fr, -1.0),
+                      (fp, 2.0 * opt.resistance), (fq, 2.0 * opt.reactance)]
+            kinds += [
+                (f"Eq18[{{0}},{{1}},{{2}},r{r},up]", LESS_EQUAL, big_m,
+                 common + [(x[r], big_m)]),
+                (f"Eq18[{{0}},{{1}},{{2}},r{r},lo]", GREATER_EQUAL, -big_m,
+                 common + [(x[r], -big_m)]),
+            ]
+        _rows(m, ([seg.id], ctx.times), kinds)
 
 
 # -- tap changing --------------------------------------------------------------------
 
 
 def _build_taps(ctx: _Ctx) -> None:
-    m = ctx.model
-    for seg in [ctx.head] + ctx.vr_segs:
-        kind = seg.kind
-        phi_min2 = kind.tap_min ** 2
-        phi_max2 = kind.tap_max ** 2
-        for d, h in ctx.times:
-            vmid = ctx.v2mid[seg.id, d, h]
-            v_to = ctx.v2[seg.to_bus, d, h]
-            m.add_constraint([(vmid, 1.0), (v_to, -phi_max2)], LESS_EQUAL, 0.0,
-                             tag=f"Eq19[{seg.id},{d},{h},up]")
-            m.add_constraint([(vmid, 1.0), (v_to, -phi_min2)], GREATER_EQUAL, 0.0,
-                             tag=f"Eq19[{seg.id},{d},{h},lo]")
-            m.count("Eq19", 2)
-    for seg in ctx.vr_segs:
-        if seg.id not in ctx.x_vr:
-            continue
-        kind = seg.kind
-        vmax2 = ctx.net.bus(seg.to_bus).vmax ** 2
-        big_m = vmax2 * (1.0 / kind.tap_min ** 2 - 1.0 / kind.tap_max ** 2)
-        for d, h in ctx.times:
-            vmid = ctx.v2mid[seg.id, d, h]
-            v_to = ctx.v2[seg.to_bus, d, h]
-            x = ctx.x_vr[seg.id]
-            m.add_constraint([(vmid, 1.0), (v_to, -1.0), (x, -big_m)], LESS_EQUAL, 0.0,
-                             tag=f"Eq20[{seg.id},{d},{h},up]")
-            m.add_constraint([(vmid, 1.0), (v_to, -1.0), (x, big_m)], GREATER_EQUAL, 0.0,
-                             tag=f"Eq20[{seg.id},{d},{h},lo]")
-            m.count("Eq20", 2)
+    m, T = ctx.model, len(ctx.times)
+    segs = [ctx.head] + ctx.vr_segs
+    ids = [s.id for s in segs]
+    vmid, v_to = _stack(ctx.v2mid, ids), _stack(ctx.v2, [s.to_bus for s in segs])
+    _rows(m, (ids, ctx.times), [
+        ("Eq19[{0},{1},{2},up]", LESS_EQUAL, 0.0,
+         [(vmid, 1.0), (v_to, _per_hour([-s.kind.tap_max ** 2 for s in segs], T))]),
+        ("Eq19[{0},{1},{2},lo]", GREATER_EQUAL, 0.0,
+         [(vmid, 1.0), (v_to, _per_hour([-s.kind.tap_min ** 2 for s in segs], T))]),
+    ])
+    segs = [s for s in ctx.vr_segs if s.id in ctx.x_vr]
+    ids = [s.id for s in segs]
+    big_m = [ctx.net.bus(s.to_bus).vmax ** 2
+             * (1.0 / s.kind.tap_min ** 2 - 1.0 / s.kind.tap_max ** 2) for s in segs]
+    vmid, v_to = _stack(ctx.v2mid, ids), _stack(ctx.v2, [s.to_bus for s in segs])
+    x = _per_hour([ctx.x_vr[i] for i in ids], T)
+    _rows(m, (ids, ctx.times), [
+        ("Eq20[{0},{1},{2},up]", LESS_EQUAL, 0.0,
+         [(vmid, 1.0), (v_to, -1.0), (x, -_per_hour(big_m, T))]),
+        ("Eq20[{0},{1},{2},lo]", GREATER_EQUAL, 0.0,
+         [(vmid, 1.0), (v_to, -1.0), (x, _per_hour(big_m, T))]),
+    ])
 
 
 # -- feeder head and regulators ---------------------------------------------------------
 
 
 def _build_transformers(ctx: _Ctx) -> None:
-    m = ctx.model
+    m, T = ctx.model, len(ctx.times)
     head_kind: FeederHeadKind = ctx.head.kind
-    m.add_constraint(
-        [(ctx.f_trf[ctx.head.id], 1.0), (ctx.x_fh, -head_kind.upgrade_capacity)],
-        EQUAL, head_kind.base_capacity, tag=f"Eq22[{ctx.head.id}]")
-    m.count("Eq22")
-    for seg in [ctx.head] + ctx.vr_segs:
-        for d, h in ctx.times:
-            fp, fq = ctx.f_p[seg.id, d, h], ctx.f_q[seg.id, d, h]
-            ftrf = ctx.f_trf[seg.id]
-            m.add_constraint([(fp, 1.0), (ftrf, -1.0)], LESS_EQUAL, 0.0,
-                             tag=f"Eq25[{seg.id},{d},{h},up]")
-            m.add_constraint([(fp, 1.0), (ftrf, 1.0)], GREATER_EQUAL, 0.0,
-                             tag=f"Eq25[{seg.id},{d},{h},lo]")
-            m.count("Eq25", 2)
-            m.add_constraint([(fq, 1.0), (ftrf, -1.0)], LESS_EQUAL, 0.0,
-                             tag=f"Eq26[{seg.id},{d},{h},up]")
-            m.add_constraint([(fq, 1.0), (ftrf, 1.0)], GREATER_EQUAL, 0.0,
-                             tag=f"Eq26[{seg.id},{d},{h},lo]")
-            m.count("Eq26", 2)
-            _cut_rows(m, fp, fq, (seg.id, d, h), None, ftrf, "Eq27", "Eq28")
-            m.add_constraint(
-                [(ctx.v2mid[seg.id, d, h], 1.0), (ctx.v2[seg.from_bus, d, h], -1.0),
-                 (fp, 2.0 * seg.resistance), (fq, 2.0 * seg.reactance)],
-                EQUAL, 0.0, tag=f"Eq29[{seg.id},{d},{h}]")
-            m.count("Eq29")
+    _rows(m, ([ctx.head.id],), [
+        ("Eq22[{0}]", EQUAL, head_kind.base_capacity,
+         [(ctx.f_trf[ctx.head.id], 1.0), (ctx.x_fh, -head_kind.upgrade_capacity)]),
+    ])
+    segs = [ctx.head] + ctx.vr_segs
+    ids = [s.id for s in segs]
+    fp, fq = _stack(ctx.f_p, ids), _stack(ctx.f_q, ids)
+    ftrf = _per_hour([ctx.f_trf[i] for i in ids], T)
+    _rows(m, (ids, ctx.times), [
+        ("Eq25[{0},{1},{2},up]", LESS_EQUAL, 0.0, [(fp, 1.0), (ftrf, -1.0)]),
+        ("Eq25[{0},{1},{2},lo]", GREATER_EQUAL, 0.0, [(fp, 1.0), (ftrf, 1.0)]),
+        ("Eq26[{0},{1},{2},up]", LESS_EQUAL, 0.0, [(fq, 1.0), (ftrf, -1.0)]),
+        ("Eq26[{0},{1},{2},lo]", GREATER_EQUAL, 0.0, [(fq, 1.0), (ftrf, 1.0)]),
+    ] + _cut_kinds(fp, fq, None, ftrf, "Eq27", "Eq28") + [
+        ("Eq29[{0},{1},{2}]", EQUAL, 0.0,
+         [(_stack(ctx.v2mid, ids), 1.0),
+          (_stack(ctx.v2, [s.from_bus for s in segs]), -1.0),
+          (fp, _per_hour([2.0 * s.resistance for s in segs], T)),
+          (fq, _per_hour([2.0 * s.reactance for s in segs], T))]),
+    ])
 
 
 # -- solar ---------------------------------------------------------------------------
 
 
 def _build_solar(ctx: _Ctx) -> None:
-    m = ctx.model
-    for u in ctx.cs_units:
-        for d, h in ctx.times:
-            cf = float(u.capacity_factor[d][h])
-            m.add_constraint(
-                [(ctx.g_cs[u.id, d, h], 1.0), (ctx.g_crt[u.id, d, h], 1.0),
-                 (ctx.x_cs[u.id], -cf)],
-                EQUAL, 0.0, tag=f"Eq31[{u.id},{d},{h}]")
-            m.count("Eq31")
-    if ctx.cs_units:
-        m.add_constraint([(ctx.x_cs[u.id], 1.0) for u in ctx.cs_units],
-                         EQUAL, ctx.cs_capacity, tag="Eq32")
-        m.count("Eq32")
+    m, T = ctx.model, len(ctx.times)
+    units = ctx.cs_units
+    ids = [u.id for u in units]
+    cf = np.concatenate([_series(u.capacity_factor, ctx.net.scenario_days)
+                         for u in units]) if units else np.zeros(0)
+    _rows(m, (ids, ctx.times), [
+        ("Eq31[{0},{1},{2}]", EQUAL, 0.0,
+         [(_stack(ctx.g_cs, ids), 1.0), (_stack(ctx.g_crt, ids), 1.0),
+          (_per_hour([ctx.x_cs[i] for i in ids], T), -cf)]),
+    ])
+    if units:
+        _rows(m, (), [("Eq32", EQUAL, ctx.cs_capacity,
+                       [(ctx.x_cs[i], 1.0) for i in ids])])
 
 
 # -- colocation ------------------------------------------------------------------------
@@ -643,21 +685,21 @@ def _build_solar(ctx: _Ctx) -> None:
 
 def _build_colocation(ctx: _Ctx) -> None:
     m = ctx.model
-    for u in ctx.storage_cand:
-        m.add_constraint(
-            [(ctx.x_st[u.id], 1.0), (ctx.x_st_bin[u.id], -u.invest_cap)],
-            LESS_EQUAL, 0.0, tag=f"Eq33[{u.id}]")
-        m.count("Eq33")
-    m.add_constraint([(ref, 1.0) for ref in ctx.x_st_bin.values()], EQUAL, 1.0,
-                     tag="Eq34")
-    m.count("Eq34")
+    units = ctx.storage_cand
+    _rows(m, ([u.id for u in units],), [
+        ("Eq33[{0}]", LESS_EQUAL, 0.0,
+         [([ctx.x_st[u.id] for u in units], 1.0),
+          ([ctx.x_st_bin[u.id] for u in units], [-u.invest_cap for u in units])]),
+    ])
+    _rows(m, (), [("Eq34", EQUAL, 1.0, [(col, 1.0) for col in ctx.x_st_bin.values()])])
     storage_at = {u.bus: u for u in ctx.storage_cand}
-    for u in ctx.cs_units:
-        host = storage_at[u.bus]
-        m.add_constraint(
-            [(ctx.x_cs[u.id], 1.0), (ctx.x_st_bin[host.id], -u.invest_cap)],
-            LESS_EQUAL, 0.0, tag=f"Eq36[{u.id}]")
-        m.count("Eq36")
+    units = ctx.cs_units
+    _rows(m, ([u.id for u in units],), [
+        ("Eq36[{0}]", LESS_EQUAL, 0.0,
+         [([ctx.x_cs[u.id] for u in units], 1.0),
+          ([ctx.x_st_bin[storage_at[u.bus].id] for u in units],
+           [-u.invest_cap for u in units])]),
+    ])
 
 
 # -- storage -----------------------------------------------------------------------------
@@ -667,45 +709,35 @@ def _build_storage(ctx: _Ctx) -> None:
     m = ctx.model
     for u in ctx.storage_existing + ctx.storage_cand:
         eta = u.efficiency
-        cand = u.status == "candidate"
-        for day in ctx.net.scenario_days:
-            d = day.label
-            last = day.hours - 1
-            m.add_constraint(
-                [(ctx.soc0[u.id, d], 1.0), (ctx.soc[u.id, d, last], -1.0)],
-                EQUAL, 0.0, tag=f"Eq37[{u.id},{d}]")
-            m.count("Eq37")
-            m.add_constraint(
-                [(ctx.soc[u.id, d, 0], 1.0), (ctx.soc0[u.id, d], -1.0),
-                 (ctx.p_in[u.id, d, 0], -eta), (ctx.p_out[u.id, d, 0], 1.0)],
-                EQUAL, 0.0, tag=f"Eq38[{u.id},{d}]")
-            m.count("Eq38")
-            for h in range(1, day.hours):
-                m.add_constraint(
-                    [(ctx.soc[u.id, d, h], 1.0), (ctx.soc[u.id, d, h - 1], -1.0),
-                     (ctx.p_in[u.id, d, h], -eta), (ctx.p_out[u.id, d, h], 1.0)],
-                    EQUAL, 0.0, tag=f"Eq39[{u.id},{d},{h}]")
-                m.count("Eq39")
-        if cand:
+        soc, soc0 = ctx.soc[u.id], ctx.soc0[u.id]
+        p_in, p_out = ctx.p_in[u.id], ctx.p_out[u.id]
+        first = 0  # the day's first hour in the horizon
+        for k, day in enumerate(ctx.net.scenario_days):
+            h0, last = first, first + day.hours - 1
+            _rows(m, ([u.id], [day.label]), [
+                ("Eq37[{0},{1}]", EQUAL, 0.0, [(soc0[k], 1.0), (soc[last], -1.0)]),
+                ("Eq38[{0},{1}]", EQUAL, 0.0,
+                 [(soc[h0], 1.0), (soc0[k], -1.0), (p_in[h0], -eta), (p_out[h0], 1.0)]),
+            ])
+            now = slice(h0 + 1, last + 1)
+            _rows(m, ([u.id], [day.label], range(1, day.hours)), [
+                ("Eq39[{0},{1},{2}]", EQUAL, 0.0,
+                 [(soc[now], 1.0), (soc[h0:last], -1.0), (p_in[now], -eta),
+                  (p_out[now], 1.0)]),
+            ])
+            first += day.hours
+        if u.status == "candidate":
             x = ctx.x_st[u.id]
-            for d, h in ctx.times:
-                m.add_constraint(
-                    [(ctx.soc[u.id, d, h], 1.0), (x, -u.duration * u.p_in_max)],
-                    LESS_EQUAL, 0.0, tag=f"Eq41[{u.id},{d},{h}]")
-                m.count("Eq41")
-                m.add_constraint([(ctx.p_in[u.id, d, h], 1.0), (x, -u.p_in_max)],
-                                 LESS_EQUAL, 0.0, tag=f"Eq43[{u.id},{d},{h}]")
-                m.count("Eq43")
-                m.add_constraint([(ctx.p_out[u.id, d, h], 1.0), (x, -u.p_out_max)],
-                                 LESS_EQUAL, 0.0, tag=f"Eq45[{u.id},{d},{h}]")
-                m.count("Eq45")
-                m.add_constraint(
-                    [(ctx.q_st[u.id, d, h], 1.0), (x, -u.reactive_fraction * u.p_in_max)],
-                    LESS_EQUAL, 0.0, tag=f"Eq47[{u.id},{d},{h},up]")
-                m.add_constraint(
-                    [(ctx.q_st[u.id, d, h], 1.0), (x, u.reactive_fraction * u.p_in_max)],
-                    GREATER_EQUAL, 0.0, tag=f"Eq47[{u.id},{d},{h},lo]")
-                m.count("Eq47", 2)
+            _rows(m, ([u.id], ctx.times), [
+                ("Eq41[{0},{1},{2}]", LESS_EQUAL, 0.0,
+                 [(soc, 1.0), (x, -u.duration * u.p_in_max)]),
+                ("Eq43[{0},{1},{2}]", LESS_EQUAL, 0.0, [(p_in, 1.0), (x, -u.p_in_max)]),
+                ("Eq45[{0},{1},{2}]", LESS_EQUAL, 0.0, [(p_out, 1.0), (x, -u.p_out_max)]),
+                ("Eq47[{0},{1},{2},up]", LESS_EQUAL, 0.0,
+                 [(ctx.q_st[u.id], 1.0), (x, -u.reactive_fraction * u.p_in_max)]),
+                ("Eq47[{0},{1},{2},lo]", GREATER_EQUAL, 0.0,
+                 [(ctx.q_st[u.id], 1.0), (x, u.reactive_fraction * u.p_in_max)]),
+            ])
 
 
 # -- solution interpretation ----------------------------------------------------------
@@ -729,15 +761,19 @@ class PlanDecisions:
     slack_total_mwh: float = 0.0
 
 
+def _chosen_option(sol: Solution, seg: LineSegment) -> int:
+    return max(range(len(seg.kind.options)),
+               key=lambda r: sol.lookup("x_line", (seg.id, r)))
+
+
 def extract_decisions(net: FeederNetwork, model: MilpModel, sol: Solution,
                       candidates: CandidateSet) -> PlanDecisions:
-    refs = var_map(model)
     # objective coefficients are the single source of truth for asset costs,
     # so per-asset sums reproduce the investment groups exactly
-    obj_coeff: dict[int, float] = {}
-    for group in ("storage", "regulator", "line", "feeder_head"):
-        for ref, cost in model.objective_groups.get(group, []):
-            obj_coeff[ref.idx] = obj_coeff.get(ref.idx, 0.0) + cost
+    cost = model.objective_vector()
+
+    def asset_cost(family: str, indices: tuple) -> float:
+        return float(cost[model.family_map(family)[indices]])
 
     line_options: dict[str, tuple[int, str, float]] = {}
     for seg in net.segments:
@@ -745,38 +781,32 @@ def extract_decisions(net: FeederNetwork, model: MilpModel, sol: Solution,
             continue
         if not isinstance(seg.kind, CandidateUpgradeKind):
             continue
-        opts = seg.kind.options
-        chosen = max(range(len(opts)), key=lambda r: sol.value(refs[("x_line", (seg.id, r))]))
-        cost = obj_coeff.get(refs[("x_line", (seg.id, chosen))].idx, 0.0)
-        line_options[seg.id] = (chosen, opts[chosen].conductor, cost)
+        chosen = _chosen_option(sol, seg)
+        line_options[seg.id] = (chosen, seg.kind.options[chosen].conductor,
+                                asset_cost("x_line", (seg.id, chosen)))
     head = net.segment(net.feeder_head_segment)
-    fh_ref = refs[("x_fh", (head.id,))]
-    fh = sol.value(fh_ref) > 0.5
-    regulators = {}
-    for (family, idx), ref in refs.items():
-        if family == "x_vr" and sol.value(ref) > 0.5:
-            regulators[idx[0]] = obj_coeff.get(ref.idx, 0.0)
+    fh = sol.lookup("x_fh", (head.id,)) > 0.5
+    regulators = {idx[0]: asset_cost("x_vr", idx)
+                  for idx, val in sol.family_values("x_vr").items() if val > 0.5}
     storage = {}
+    x_st = sol.family_values("x_st")
     for u in net.storage_units:
-        key = ("x_st", (u.id,))
-        if key in refs and sol.value(refs[key]) > 1e-9:
-            mw = sol.value(refs[key])
-            storage[u.id] = (u.bus, mw * net.base_mva,
-                             mw * obj_coeff.get(refs[key].idx, 0.0))
+        mw = x_st.get((u.id,), 0.0)
+        if mw > 1e-9:
+            storage[u.id] = (u.bus, mw * net.base_mva, mw * asset_cost("x_st", (u.id,)))
     cs = {}
+    x_cs = sol.family_values("x_cs")
     for u in net.cs_units():
-        key = ("x_cs", (u.id,))
-        if key in refs and sol.value(refs[key]) > 1e-9:
-            cs[u.id] = (u.bus, sol.value(refs[key]) * net.base_mva)
+        mw = x_cs.get((u.id,), 0.0)
+        if mw > 1e-9:
+            cs[u.id] = (u.bus, mw * net.base_mva)
     invest = sum(sol.cost_breakdown.get(g, 0.0)
                  for g in ("storage", "regulator", "line", "feeder_head"))
-    slack = sol.family_total("slack_p_pos") + sol.family_total("slack_p_neg") + \
-        sol.family_total("slack_q_pos") + sol.family_total("slack_q_neg")
     return PlanDecisions(
         line_options=line_options, feeder_head_upgrade=fh,
-        feeder_head_cost=obj_coeff.get(fh_ref.idx, 0.0) if fh else 0.0,
+        feeder_head_cost=asset_cost("x_fh", (head.id,)) if fh else 0.0,
         regulators=regulators, storage_mw=storage, cs_mw=cs,
-        investment_cost=invest, slack_total_mwh=slack * net.base_mva)
+        investment_cost=invest, slack_total_mwh=slack_total(sol) * net.base_mva)
 
 
 def slack_total(sol: Solution) -> float:
@@ -788,26 +818,22 @@ def slack_total(sol: Solution) -> float:
 def realized_network(net: FeederNetwork, model: MilpModel, sol: Solution,
                      candidates: CandidateSet) -> FeederNetwork:
     """The network with the solved plan applied (for power-flow replay)."""
-    refs = var_map(model)
     new_segments = []
     for seg in net.segments:
         if seg.id in candidates.reconductor_segments and \
                 isinstance(seg.kind, CandidateUpgradeKind):
-            opts = seg.kind.options
-            chosen = max(range(len(opts)),
-                         key=lambda r: sol.value(refs[("x_line", (seg.id, r))]))
-            opt = opts[chosen]
+            opt = seg.kind.options[_chosen_option(sol, seg)]
             new_segments.append(replace(
                 seg, resistance=opt.resistance, reactance=opt.reactance,
                 kind=FixedKind(capacity=opt.capacity)))
         elif isinstance(seg.kind, FeederHeadKind):
-            upgraded = sol.value(refs[("x_fh", (seg.id,))]) > 0.5
+            upgraded = sol.lookup("x_fh", (seg.id,)) > 0.5
             extra = seg.kind.upgrade_capacity if upgraded else 0.0
             new_segments.append(replace(seg, kind=replace(
                 seg.kind, base_capacity=seg.kind.base_capacity + extra,
                 upgrade_capacity=0.0)))
         elif seg.id in candidates.vr_sites and not isinstance(seg.kind, RegulatorKind):
-            installed = sol.value(refs[("x_vr", (seg.id,))]) > 0.5
+            installed = sol.lookup("x_vr", (seg.id,)) > 0.5
             if installed:
                 new_segments.append(replace(seg, kind=RegulatorKind(
                     existing=True, capacity=seg.capacity, install_cost=0.0)))
@@ -825,14 +851,14 @@ def dispatch_operating_points(net: FeederNetwork, model: MilpModel, sol: Solutio
     Replaying these through the power-flow engine must reproduce the model's
     squared voltages (lossless networks).
     """
-    refs = var_map(model)
+    values = {family: sol.family_values(family) for family in (
+        "slack_p_neg", "slack_p_pos", "slack_q_neg", "slack_q_pos", "g_rts", "g_cs",
+        "p_out", "p_in", "q_st", "v2mid", "v2")}
 
     def val(family: str, idx: tuple) -> float:
-        ref = refs.get((family, idx))
-        return sol.value(ref) if ref is not None else 0.0
+        return values[family].get(idx, 0.0)
 
     points = []
-    source = net.source_bus
     for d, h in net.time_index():
         inj: dict[str, tuple[float, float]] = {}
         for b in net.buses:
@@ -853,9 +879,8 @@ def dispatch_operating_points(net: FeederNetwork, model: MilpModel, sol: Solutio
                           q + val("q_st", (u.id, d, h)))
         taps = {}
         for seg in net.segments:
-            key = ("v2mid", (seg.id, d, h))
-            if key in refs:
-                v2mid = sol.value(refs[key])
+            v2mid = values["v2mid"].get((seg.id, d, h))
+            if v2mid is not None:
                 v2to = val("v2", (seg.to_bus, d, h))
                 if v2to > 1e-9:
                     taps[seg.id] = math.sqrt(max(v2mid, 0.0) / v2to)

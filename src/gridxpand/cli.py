@@ -122,7 +122,7 @@ def _study(path: str, scenario: str, args, ec: EngineConfig):
 def _parse_siting(text: str) -> tuple[str, str | None]:
     if text == "optimal" or text == "random":
         return text, None
-    if text.startswith("fixed:"):
+    if text.startswith("fixed:") and text != "fixed:":
         return "fixed", text.split(":", 1)[1]
     raise argparse.ArgumentTypeError(
         f"bad --siting value {text!r} (optimal, random, or fixed:<bus>)")
@@ -250,7 +250,9 @@ def _fleet_job(path: str, scenario: str, args, ec, db):
         return fleet_row(report, feeder_id, scenario), report, None
     except Exception as exc:
         status = "unresolved" if isinstance(exc, UnresolvedPlanError) else "error"
-        print(f"{feeder_id} [{scenario}]: {exc}", file=sys.stderr)
+        # a load error names the file's path, which the feeder id already gives
+        detail = exc.__cause__ if isinstance(exc, NetworkError) and exc.__cause__ else exc
+        print(f"{feeder_id} [{scenario}]: {detail}", file=sys.stderr)
         return fleet_row(None, feeder_id, scenario, status), None, exc
 
 

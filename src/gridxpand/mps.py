@@ -8,6 +8,8 @@ Two-sided information never uses RANGES; each constraint is one row.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .milp import EQUAL, GREATER_EQUAL, INF, LESS_EQUAL, MilpModel, ModelError
 
 _SENSE_TO_ROW = {LESS_EQUAL: "L", GREATER_EQUAL: "G", EQUAL: "E"}
@@ -32,63 +34,58 @@ def _entry(f1: str, f2: str, f3: str = "", f4: str = "") -> str:
 
 def export_model(model: MilpModel, path: str) -> None:
     """Write the model as an MPS file (minimization, objective row OBJ)."""
-    col_name = {i: f"X{i + 1:07d}" for i in range(len(model.variables))}
-    row_name = {i: f"R{i + 1:07d}" for i in range(len(model.constraints))}
-
-    obj = {}
-    for ref, cost in model.objective:
-        obj[ref.idx] = obj.get(ref.idx, 0.0) + cost
-
-    col_rows: dict[int, list[tuple[str, float]]] = {i: [] for i in range(len(model.variables))}
-    for i, con in enumerate(model.constraints):
-        for ref, coeff in con.terms:
-            col_rows[ref.idx].append((row_name[i], coeff))
+    A, senses, rhs = model.constraint_arrays()
+    lo, hi = model.bounds_arrays()
+    binary = np.zeros(len(lo), dtype=bool)
+    binary[model.binary_indices()] = True
+    obj = model.objective_vector().tolist()
+    in_obj = model.objective_columns().tolist()
+    row_name = [f"R{i + 1:07d}" for i in range(len(rhs))]
 
     lines: list[str] = [f"NAME          {model.name[:60] or 'GRIDXPAND'}", "ROWS",
                         f" N   {OBJ_ROW}"]
-    for i, con in enumerate(model.constraints):
-        lines.append(f" {_SENSE_TO_ROW[con.sense]}   {row_name[i]}")
+    lines += [f" {_SENSE_TO_ROW[s]}   {row_name[i]}" for i, s in enumerate(senses.tolist())]
 
     lines.append("COLUMNS")
     in_int = False
     marker = 0
-    for ref in model.variables:
-        if ref.binary != in_int:
-            kind = "'INTORG'" if ref.binary else "'INTEND'"
+    bounds, rows, coeffs = A.indptr.tolist(), A.indices.tolist(), A.data.tolist()
+    for j, is_bin in enumerate(binary.tolist()):
+        if is_bin != in_int:
+            kind = "'INTORG'" if is_bin else "'INTEND'"
             lines.append(_entry("", f"MARK{marker:04d}", "'MARKER'", f"                 {kind}"))
-            in_int = ref.binary
+            in_int = is_bin
             marker += 1
-        name = col_name[ref.idx]
-        entries = col_rows[ref.idx]
+        head = f"    {f'X{j + 1:07d}':<10}"  # _entry("", name, row, value), inlined
+        a, b = bounds[j], bounds[j + 1]
         # every column must appear at least once; park unused ones in OBJ
-        if ref.idx in obj or not entries:
-            lines.append(_entry("", name, OBJ_ROW, _num(obj.get(ref.idx, 0.0))))
-        for row, coeff in entries:
-            lines.append(_entry("", name, row, _num(coeff)))
+        if in_obj[j] or a == b:
+            lines.append(f"{head}{OBJ_ROW:<10}{obj[j]!r}")
+        lines += [f"{head}{row_name[i]:<10}{coeff!r}"
+                  for i, coeff in zip(rows[a:b], coeffs[a:b])]
     if in_int:
         lines.append(_entry("", f"MARK{marker:04d}", "'MARKER'", "                 'INTEND'"))
 
     lines.append("RHS")
-    for i, con in enumerate(model.constraints):
-        if con.rhs != 0.0:
-            lines.append(_entry("", "RHS", row_name[i], _num(con.rhs)))
+    for i, value in enumerate(rhs.tolist()):
+        if value != 0.0:
+            lines.append(_entry("", "RHS", row_name[i], _num(value)))
 
     lines.append("BOUNDS")
-    for ref in model.variables:
-        name = col_name[ref.idx]
-        lo, hi = ref.lo, ref.hi
-        if lo == hi:
-            lines.append(_entry("FX", "BND", name, _num(lo)))
-        elif lo == -INF and hi == INF:
+    for j, (low, high) in enumerate(zip(lo.tolist(), hi.tolist())):
+        name = f"X{j + 1:07d}"
+        if low == high:
+            lines.append(_entry("FX", "BND", name, _num(low)))
+        elif low == -INF and high == INF:
             lines.append(_entry("FR", "BND", name))
-        elif lo == -INF:
+        elif low == -INF:
             lines.append(_entry("MI", "BND", name))
-            lines.append(_entry("UP", "BND", name, _num(hi)))
+            lines.append(_entry("UP", "BND", name, _num(high)))
         else:
-            if lo != 0.0:
-                lines.append(_entry("LO", "BND", name, _num(lo)))
-            if hi != INF:
-                lines.append(_entry("UP", "BND", name, _num(hi)))
+            if low != 0.0:
+                lines.append(_entry("LO", "BND", name, _num(low)))
+            if high != INF:
+                lines.append(_entry("UP", "BND", name, _num(high)))
     lines.append("ENDATA")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -166,41 +163,51 @@ def import_model(path: str) -> MilpModel:
                 raise ModelError(f"{path}:{lineno}: data outside any section")
 
     model = MilpModel(name=name)
-    refs = {}
+    lo, hi, binary = [], [], []
     for col in col_order:
-        lo, hi = 0.0, INF
-        binary = False
+        low, high, is_bin = 0.0, INF, False
         for kind, val in bounds.get(col, []):
             if kind == "UP":
-                hi = val
+                high = val
             elif kind == "LO":
-                lo = val
+                low = val
             elif kind == "FX":
-                lo = hi = val
+                low = high = val
             elif kind == "FR":
-                lo, hi = -INF, INF
+                low, high = -INF, INF
             elif kind == "MI":
-                lo = -INF
+                low = -INF
             elif kind == "PL":
-                hi = INF
+                high = INF
             elif kind == "BV":
-                lo, hi, binary = 0.0, 1.0, True
+                low, high, is_bin = 0.0, 1.0, True
             else:
                 raise ModelError(f"bound type {kind!r} not supported")
-        if col in integer_cols and lo >= 0.0 and hi <= 1.0:
-            binary = True
-        refs[col] = model.add_var("col", (col,), lo=lo, hi=hi, binary=binary)
+        lo.append(low)
+        hi.append(high)
+        binary.append(is_bin or (col in integer_cols and low >= 0.0 and high <= 1.0))
+    lo, hi, binary = np.array(lo), np.array(hi), np.array(binary, dtype=bool)
+    pos = model.reserve(len(col_order)) + np.arange(len(col_order))
+    for kind in (False, True):
+        at = np.flatnonzero(binary == kind)
+        model.add_vars("col", ([col_order[j] for j in at],), lo=lo[at], hi=hi[at],
+                       binary=kind, pos=pos[at])
 
-    row_terms: dict[str, list] = {r: [] for _, r in rows}
-    for col in col_order:
+    obj_cols, obj_vals, cells, cols, vals = [], [], [], [], []
+    for j, col in enumerate(col_order):
         for row, val in col_entries[col]:
             if row == obj_row:
                 if val != 0.0:
-                    model.add_objective("objective", refs[col], val)
-            elif row in row_terms:
-                row_terms[row].append((refs[col], val))
+                    obj_cols.append(j)
+                    obj_vals.append(val)
+            elif row in row_order:
+                cells.append(row_order[row])
+                cols.append(j)
+                vals.append(val)
             else:
                 raise ModelError(f"column {col} references unknown row {row}")
-    for sense, row in rows:
-        model.add_constraint(row_terms[row], sense, rhs.get(row, 0.0), tag=row)
+    model.add_costs("objective", obj_cols, obj_vals)
+    model.add_rows(([row for _, row in rows],), [(
+        "{0}", [sense for sense, _ in rows], [rhs.get(row, 0.0) for _, row in rows],
+        [(np.array(cols, dtype=np.int64), vals, np.array(cells, dtype=np.int64))])])
     return model

@@ -291,13 +291,50 @@ def _require(cond: bool, msg: str) -> None:
         raise FeederFormatError(msg)
 
 
+_MISSING = object()
+
+
+def _field(obj: dict, key: str, where: str, conv=float, default=_MISSING):
+    """The field ``obj[key]`` converted by ``conv``; ``default`` when it is
+    absent or null. A missing (without default), ill-typed or non-finite
+    value raises ``FeederFormatError`` naming the key and its path."""
+    path = f"{where}.{key}"
+    if obj.get(key) is None:
+        _require(default is not _MISSING, f"{key!r} missing ({path})")
+        return default
+    try:
+        value = conv(obj[key])
+    except (TypeError, ValueError):
+        raise FeederFormatError(f"{key!r} must be {conv.__name__}, got {obj[key]!r} "
+                                f"({path})") from None
+    _require(conv is not float or math.isfinite(value),
+             f"{key!r} must be finite, got {value!r} ({path})")
+    return value
+
+
+def _entries(doc: dict, key: str) -> list[tuple[str, dict]]:
+    """The objects of the list ``doc[key]``, each with its path (by id if it has one)."""
+    raw = doc.get(key, [])
+    _require(isinstance(raw, list), f"{key}: expected a list")
+    out = []
+    for i, entry in enumerate(raw):
+        _require(isinstance(entry, dict),
+                 f"{key}[{i}]: expected an object, got {type(entry).__name__}")
+        out.append((f"{key}[{entry.get('id', i)}]", entry))
+    return out
+
+
 def _profile(raw: object, where: str, days: Iterable[ScenarioDay]) -> dict[str, np.ndarray]:
     _require(isinstance(raw, dict), f"{where}: expected a day-label -> 24-value map")
     out: dict[str, np.ndarray] = {}
     for label, values in raw.items():  # type: ignore[union-attr]
-        arr = np.asarray(values, dtype=float)
+        try:
+            arr = np.asarray(values, dtype=float)
+        except (TypeError, ValueError):
+            raise FeederFormatError(f"{where}[{label}]: expected numbers") from None
         _require(arr.ndim == 1 and arr.size == HOURS_PER_DAY,
                  f"{where}[{label}]: expected {HOURS_PER_DAY} hourly values, got {arr.size}")
+        _require(bool(np.isfinite(arr).all()), f"{where}[{label}]: values must be finite")
         out[label] = arr
     for d in days:
         if d.label not in out:
@@ -424,35 +461,37 @@ def _kind_from_json(raw: dict, where: str, scale: float) -> SegmentKind:
     _require(isinstance(raw, dict) and "type" in raw, f"{where}: kind needs a 'type'")
     t = raw["type"]
     if t == "fixed":
-        return FixedKind(capacity=raw["capacity_mva"] * scale)
+        return FixedKind(capacity=_field(raw, "capacity_mva", where) * scale)
     if t == "candidate_upgrade":
-        opts = tuple(
-            UpgradeOption(
-                capacity=o["capacity_mva"] * scale,
-                resistance=float(o["resistance"]),
-                reactance=float(o["reactance"]),
-                annual_cost_per_mva=float(o.get("annual_cost_per_mva", 0.0)),
+        _require(isinstance(raw.get("options"), list), f"{where}.options: expected a list")
+        opts = []
+        for i, o in enumerate(raw["options"]):
+            at = f"{where}.options[{i}]"
+            _require(isinstance(o, dict), f"{at}: expected an object")
+            opts.append(UpgradeOption(
+                capacity=_field(o, "capacity_mva", at) * scale,
+                resistance=_field(o, "resistance", at),
+                reactance=_field(o, "reactance", at),
+                annual_cost_per_mva=_field(o, "annual_cost_per_mva", at, default=0.0),
                 conductor=o.get("conductor", ""),
-            )
-            for o in raw["options"]
-        )
+            ))
         _require(len(opts) >= 1, f"{where}: candidate_upgrade needs at least one option")
-        return CandidateUpgradeKind(options=opts)
+        return CandidateUpgradeKind(options=tuple(opts))
     if t == "feeder_head":
         return FeederHeadKind(
-            base_capacity=raw["base_capacity_mva"] * scale,
-            upgrade_capacity=raw.get("upgrade_capacity_mva", 0.0) * scale,
-            upgrade_cost=float(raw.get("upgrade_cost_per_yr", 0.0)),
-            tap_min=float(raw.get("tap_min", DEFAULT_VMIN)),
-            tap_max=float(raw.get("tap_max", DEFAULT_VMAX)),
+            base_capacity=_field(raw, "base_capacity_mva", where) * scale,
+            upgrade_capacity=_field(raw, "upgrade_capacity_mva", where, default=0.0) * scale,
+            upgrade_cost=_field(raw, "upgrade_cost_per_yr", where, default=0.0),
+            tap_min=_field(raw, "tap_min", where, default=DEFAULT_VMIN),
+            tap_max=_field(raw, "tap_max", where, default=DEFAULT_VMAX),
         )
     if t == "regulator":
         return RegulatorKind(
-            existing=bool(raw["existing"]),
-            capacity=raw["capacity_mva"] * scale,
-            install_cost=float(raw.get("install_cost_per_yr", 0.0)),
-            tap_min=float(raw.get("tap_min", DEFAULT_VMIN)),
-            tap_max=float(raw.get("tap_max", DEFAULT_VMAX)),
+            existing=_field(raw, "existing", where, bool),
+            capacity=_field(raw, "capacity_mva", where) * scale,
+            install_cost=_field(raw, "install_cost_per_yr", where, default=0.0),
+            tap_min=_field(raw, "tap_min", where, default=DEFAULT_VMIN),
+            tap_max=_field(raw, "tap_max", where, default=DEFAULT_VMAX),
         )
     raise FeederFormatError(f"{where}: unknown kind type {t!r}")
 
@@ -498,74 +537,73 @@ def network_from_json(doc: dict) -> FeederNetwork:
     _require(isinstance(doc, dict), "top level must be a JSON object")
     for key in ("base_mva", "buses", "segments", "days"):
         _require(key in doc, f"missing top-level key {key!r}")
-    base = float(doc["base_mva"])
+    base = _field(doc, "base_mva", "feeder")
     _require(base > 0, "base_mva must be positive")
     units = doc.get("units", "mw")
     _require(units in ("mw", "per_unit"), f"units must be 'mw' or 'per_unit', got {units!r}")
     scale = 1.0 / base if units == "mw" else 1.0
 
-    days = tuple(
-        ScenarioDay(label=str(d["label"]), weight=float(d["weight"]),
-                    hours=int(d.get("hours", HOURS_PER_DAY)))
-        for d in doc["days"]
-    )
+    days = []
+    for i, (_, d) in enumerate(_entries(doc, "days")):
+        where = f"days[{d.get('label', i)}]"
+        days.append(ScenarioDay(label=_field(d, "label", where, str),
+                                weight=_field(d, "weight", where),
+                                hours=_field(d, "hours", where, int, default=HOURS_PER_DAY)))
+    days = tuple(days)
 
     buses = []
-    for i, b in enumerate(doc["buses"]):
-        where = f"buses[{b.get('id', i)}]"
-        _require("id" in b, f"buses[{i}]: missing id")
+    for where, b in _entries(doc, "buses"):
         active = _profile(b.get("active_load", {}), where + ".active_load", days)
         reactive = _profile(b.get("reactive_load", {}), where + ".reactive_load", days)
         buses.append(Bus(
-            id=str(b["id"]),
-            vmin=float(b.get("vmin", DEFAULT_VMIN)),
-            vmax=float(b.get("vmax", DEFAULT_VMAX)),
+            id=_field(b, "id", where, str),
+            vmin=_field(b, "vmin", where, default=DEFAULT_VMIN),
+            vmax=_field(b, "vmax", where, default=DEFAULT_VMAX),
             active_load={k: v * scale for k, v in active.items()},
             reactive_load={k: v * scale for k, v in reactive.items()},
         ))
 
     segments = []
-    for i, s in enumerate(doc["segments"]):
-        where = f"segments[{s.get('id', i)}]"
-        for key in ("id", "from_bus", "to_bus", "resistance", "reactance", "kind"):
-            _require(key in s, f"{where}: missing {key!r}")
+    for where, s in _entries(doc, "segments"):
+        _require("kind" in s, f"{where}.kind: missing")
         segments.append(LineSegment(
-            id=str(s["id"]),
-            from_bus=str(s["from_bus"]),
-            to_bus=str(s["to_bus"]),
-            resistance=float(s["resistance"]),
-            reactance=float(s["reactance"]),
+            id=_field(s, "id", where, str),
+            from_bus=_field(s, "from_bus", where, str),
+            to_bus=_field(s, "to_bus", where, str),
+            resistance=_field(s, "resistance", where),
+            reactance=_field(s, "reactance", where),
             kind=_kind_from_json(s["kind"], where + ".kind", scale),
-            length_miles=float(s.get("length_miles", 0.0)),
-            placement=str(s.get("placement", "")),
+            length_miles=_field(s, "length_miles", where, default=0.0),
+            placement=_field(s, "placement", where, str, default=""),
         ))
 
-    storage = tuple(
-        StorageUnit(
-            id=str(u["id"]),
-            bus=str(u["bus"]),
-            status=str(u["status"]),
-            p_in_max=float(u["p_in_max_mw"]) * (scale if u["status"] == "existing" else 1.0),
-            p_out_max=float(u["p_out_max_mw"]) * (scale if u["status"] == "existing" else 1.0),
-            duration=float(u["duration_h"]),
-            efficiency=float(u["efficiency"]),
-            reactive_fraction=float(u.get("reactive_fraction", 0.0)),
-            annual_cost_per_mw=float(u.get("annual_cost_per_mw", 0.0)),
-            invest_cap=float(u.get("invest_cap_mw", 0.0)) * scale,
-        )
-        for u in doc.get("storage", [])
-    )
+    storage = []
+    for where, u in _entries(doc, "storage"):
+        status = _field(u, "status", where, str)
+        power_scale = scale if status == "existing" else 1.0
+        storage.append(StorageUnit(
+            id=_field(u, "id", where, str),
+            bus=_field(u, "bus", where, str),
+            status=status,
+            p_in_max=_field(u, "p_in_max_mw", where) * power_scale,
+            p_out_max=_field(u, "p_out_max_mw", where) * power_scale,
+            duration=_field(u, "duration_h", where),
+            efficiency=_field(u, "efficiency", where),
+            reactive_fraction=_field(u, "reactive_fraction", where, default=0.0),
+            annual_cost_per_mw=_field(u, "annual_cost_per_mw", where, default=0.0),
+            invest_cap=_field(u, "invest_cap_mw", where, default=0.0) * scale,
+        ))
 
     solar = []
-    for u in doc.get("solar", []):
-        where = f"solar[{u.get('id', '?')}]"
+    for where, u in _entries(doc, "solar"):
         solar.append(SolarUnit(
-            id=str(u["id"]),
-            bus=str(u["bus"]),
-            role=str(u["role"]),
-            installed_capacity=float(u.get("installed_capacity_mw", 0.0)) * scale,
-            capacity_factor=_profile(u.get("capacity_factor", {}), where + ".capacity_factor", days),
-            invest_cap=float(u.get("invest_cap_mw", 0.0)) * scale,
+            id=_field(u, "id", where, str),
+            bus=_field(u, "bus", where, str),
+            role=_field(u, "role", where, str),
+            installed_capacity=_field(u, "installed_capacity_mw", where, default=0.0) * scale,
+            capacity_factor=_profile(u.get("capacity_factor", {}), where + ".capacity_factor",
+                                     days),
+            invest_cap=_field(u, "invest_cap_mw", where, default=0.0) * scale,
         ))
 
     prices = doc.get("prices", {})
@@ -579,22 +617,30 @@ def network_from_json(doc: dict) -> FeederNetwork:
         _require(len(fh) == 1, "cannot infer feeder head: need exactly one feeder_head segment")
         head = fh[0].id
 
-    cs_cap = doc.get("cs_capacity_mw")
+    cs_cap = _field(doc, "cs_capacity_mw", "feeder", default=None)
+    kv_base = _field(doc, "kv_base", "feeder", default=None)
+    losses = doc.get("loss_factors", {})
+    _require(isinstance(losses, dict), "loss_factors: expected an object")
+    loss_factors = {}
+    for sid, pair in losses.items():
+        _require(isinstance(pair, list) and len(pair) == 2,
+                 f"loss_factors.{sid}: expected [beta_p, beta_q]")
+        loss_factors[sid] = (_field(dict(enumerate(pair)), 0, f"loss_factors.{sid}"),
+                             _field(dict(enumerate(pair)), 1, f"loss_factors.{sid}"))
     net = FeederNetwork(
         base_mva=base,
-        v_ref=float(doc.get("v_ref", 1.0)),
+        v_ref=_field(doc, "v_ref", "feeder", default=1.0),
         buses=tuple(buses),
         segments=tuple(segments),
-        storage_units=storage,
+        storage_units=tuple(storage),
         solar_units=tuple(solar),
         scenario_days=days,
         feeder_head_segment=str(head),
-        loss_factors={k: (float(v[0]), float(v[1]))
-                      for k, v in doc.get("loss_factors", {}).items()},
-        imbalance_cost=float(doc.get("imbalance_cost", DEFAULT_IMBALANCE_COST)),
+        loss_factors=loss_factors,
+        imbalance_cost=_field(doc, "imbalance_cost", "feeder", default=DEFAULT_IMBALANCE_COST),
         curtailment_price=curtailment,
-        cs_total_capacity=None if cs_cap is None else float(cs_cap) * scale,
-        kv_base=None if doc.get("kv_base") is None else float(doc["kv_base"]),
+        cs_total_capacity=None if cs_cap is None else cs_cap * scale,
+        kv_base=kv_base,
         region=str(doc.get("region", "nonCA")),
     )
     return validate(net)

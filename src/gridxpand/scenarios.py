@@ -27,7 +27,6 @@ from .builder import (
     extract_decisions,
     realized_network,
     slack_total,
-    var_map,
 )
 from .costs import CostDatabase, attach_upgrade_options, default_cost_database
 from .milp import MilpModel
@@ -439,14 +438,13 @@ def _finish(promoted: FeederNetwork, cand: CandidateSet, model: MilpModel,
     decisions = extract_decisions(promoted, model, sol, cand)
     worst = 0.0
     violations: list[Violation] = []
-    if sol.values and status == "resolved":
+    if sol.x is not None and status == "resolved":
         plan_net = realized_network(promoted, model, sol, cand)
-        refs = var_map(model)
+        v2 = sol.family_values("v2")
         for op in dispatch_operating_points(promoted, model, sol):
             res = solve_lindistflow(plan_net, op)
             for b in promoted.buses:
-                key = ("v2", (b.id, op.day, op.hour))
-                worst = max(worst, abs(res.v2[b.id] - sol.value(refs[key])))
+                worst = max(worst, abs(res.v2[b.id] - v2[(b.id, op.day, op.hour)]))
             violations.extend(check_violations(res, plan_net, tol=1e-6))
     return ExpansionResult(
         solution=sol, candidates=cand, iterations=iterations, status=status,

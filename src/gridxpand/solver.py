@@ -41,28 +41,50 @@ class NumericalBreakdown(RuntimeError):
 class Solution:
     """Solved model: investment decisions, dispatch, objective, solve stats.
 
-    ``status`` meanings: ``optimal`` proves the optimum (zero remaining gap);
-    ``gap_limit`` stops once the proven gap falls under a nonzero target;
-    ``iteration_limit`` means the node budget ran out.
+    ``x`` holds one value per column of ``model``; the family lookups go
+    through the model's per-family index. ``status`` meanings: ``optimal``
+    proves the optimum (zero remaining gap); ``gap_limit`` stops once the
+    proven gap falls under a nonzero target; ``iteration_limit`` means the
+    node budget ran out.
     """
 
     status: str
     objective: float
-    values: dict[VarRef, float] = field(default_factory=dict)
+    x: np.ndarray | None = None  # None when the solve found no solution
+    model: MilpModel | None = None
     mip_gap: float = 0.0
     node_count: int = 0
     wall_time: float = 0.0
     cost_breakdown: dict[str, float] = field(default_factory=dict)
     resolved: bool = True  # cleared by the expansion loop on residual slack
 
+    @property
+    def values(self) -> dict[VarRef, float]:
+        """Value per variable, built on read."""
+        if self.x is None:
+            return {}
+        return dict(zip(self.model.variables, self.x.tolist()))
+
     def value(self, ref: VarRef) -> float:
-        return self.values.get(ref, 0.0)
+        return 0.0 if self.x is None else float(self.x[ref.idx])
+
+    def lookup(self, family: str, indices: tuple) -> float:
+        """The value of ``family[indices]`` (0.0 without a solution)."""
+        if self.x is None:
+            return 0.0
+        return float(self.x[self.model.family_map(family)[indices]])
 
     def family_values(self, family: str) -> dict[tuple, float]:
-        return {ref.indices: v for ref, v in self.values.items() if ref.family == family}
+        if self.x is None:
+            return {}
+        return dict(zip(self.model.family_indices(family),
+                        self.x[self.model.family_positions(family)].tolist()))
 
     def family_total(self, family: str) -> float:
-        return sum(v for ref, v in self.values.items() if ref.family == family)
+        if self.x is None:
+            return 0
+        # the builtin sum runs left to right in column order
+        return sum(self.x[self.model.family_positions(family)].tolist())
 
 
 class _Compiled:
@@ -89,7 +111,7 @@ class _Compiled:
                 and bounds.max(initial=0.0) <= self.accept_tol
                 and frac.max(initial=0.0) <= INT_TOL):
             return
-        tags = [con.tag for con in self.model.constraints]
+        tags = self.model.row_tags()
         names = [ref.name for ref in self.model.variables]
         diagnostics = {"accept_tol": self.accept_tol, "int_tol": INT_TOL}
         for key, errors, labels in (("row_residual", rows, tags),
@@ -103,12 +125,9 @@ class _Compiled:
 
 def _package(model: MilpModel, status: str, objective: float, x: np.ndarray | None,
              *, mip_gap: float = 0.0, nodes: int = 0, wall: float = 0.0) -> Solution:
-    values: dict[VarRef, float] = {}
-    breakdown: dict[str, float] = {}
-    if x is not None:
-        values = {ref: float(x[ref.idx]) for ref in model.variables}
-        breakdown = {group: model.group_cost(x, group) for group in model.objective_groups}
-    return Solution(status=status, objective=objective, values=values,
+    breakdown = {} if x is None else {group: model.group_cost(x, group)
+                                      for group in model.cost_groups()}
+    return Solution(status=status, objective=objective, x=x, model=model,
                     mip_gap=mip_gap, node_count=nodes, wall_time=wall,
                     cost_breakdown=breakdown)
 

@@ -1,5 +1,6 @@
 """Assessment: incremental cost, breakdown identity, normalization, siting."""
 
+import numpy as np
 import pytest
 
 from gridxpand.assess import (
@@ -138,11 +139,11 @@ def test_downsizing_zero_and_full():
     sol = solve_milp(model, gap=0.0)
     assert downsizing_metric(sol, net) == pytest.approx(0.0, abs=1e-9)
     # force full curtailment by zeroing generation delivery
-    full = Solution(status="optimal", objective=0.0, values={
-        ref: (0.2 if ref.family == "x_cs" else
-              (0.2 * float(NOON_CF[ref.indices[2]]) if ref.family == "g_crt" else 0.0))
+    full = Solution(status="optimal", objective=0.0, model=model, x=np.array([
+        (0.2 if ref.family == "x_cs" else
+         (0.2 * float(NOON_CF[ref.indices[2]]) if ref.family == "g_crt" else 0.0))
         for ref in model.variables
-    })
+    ]))
     assert downsizing_metric(full, net) == pytest.approx(1.0)
 
 

@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -420,6 +422,10 @@ def _golden_models(tutorial_net):
     yield "rich/off", build(net, cand)
     yield "rich/optimal", build(net, cand, "optimal", cs_capacity=0.2)
     yield "rich/fixed:b2", build(net, cand, "fixed", cs_capacity=0.2, fixed_site="b2")
+    # loss shares put rooftop and CS output twice into the same balance rows
+    lossy = replace(net, loss_factors={"fh": (0.003, 0.001), "l1": (0.02, 0.01),
+                                       "l2": (0.013, 0.007)})
+    yield "rich/losses", build(lossy, cand, "optimal", cs_capacity=0.2)
 
 
 # sha256 of (MPS bytes, row tags, variable names), recorded from the row-by-row builder
@@ -516,6 +522,10 @@ GOLDEN = {
         '8d3277cb5adda8e2d99efeba7adb61d1913c3231990d7eea2cd89a4aac70df5a',
         '3c823a677c1982df3b054399946e045c3cba49aabeaf3cd851c14cbc99296459',
         '26f6f9f1713670ff940820b5bcf08810945e3b5ff1f8fafca81287de0a4d865c'),
+    'rich/losses': (
+        'c950f274627f9a6a1c4b11d13aa24d4bfa182b201333c599980f99589403103a',
+        '3c823a677c1982df3b054399946e045c3cba49aabeaf3cd851c14cbc99296459',
+        '26f6f9f1713670ff940820b5bcf08810945e3b5ff1f8fafca81287de0a4d865c'),
 }
 
 
@@ -523,3 +533,31 @@ def test_models_match_golden_digests(tutorial_net, tmp_path):
     got = {name: _model_digests(model, tmp_path / "m.mps")
            for name, model in _golden_models(tutorial_net)}
     assert got == GOLDEN
+
+
+def _compiled(model):
+    A, senses, rhs = model.constraint_arrays()
+    lo, hi = model.bounds_arrays()
+    return [A.data, A.indices, A.indptr, senses, rhs, lo, hi, model.objective_vector()]
+
+
+def test_concurrent_builds_match_a_serial_build(tutorial_net):
+    from concurrent.futures import ThreadPoolExecutor
+
+    from gridxpand.scenarios import first_round_model, make_scenario
+    scen = make_scenario(tutorial_net, "base")
+
+    def arrays(_=None):
+        return _compiled(first_round_model(tutorial_net, scen, True))
+    serial = arrays()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results = list(pool.map(arrays, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 4
+    for got in results:
+        # bytes, so that a zero's sign counts too
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in serial]

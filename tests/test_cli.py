@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import re
 import shlex
 from pathlib import Path
 
@@ -333,3 +334,44 @@ def test_command_lines_parse_as_documented(line, parses, capsys):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(argv)
     assert exc.value.code == 2
+
+
+def test_siting_fixed_with_an_empty_bus_is_a_usage_error(tutorial_path, capsys):
+    code, _, err = run(capsys, "plan", tutorial_path, "--cs", "on", "--siting", "fixed:")
+    assert code == 2
+    assert "--siting" in err
+
+
+def _drop(key):
+    return lambda entry: entry.pop(key)
+
+
+MALFORMED = [
+    ("storage", 0, _drop("status"), "storage[bess@b1].status"),
+    ("solar", 0, _drop("bus"), "solar[rts_b3].bus"),
+    ("days", 0, lambda day: day.update(weight="abc"), "days[peak_load].weight"),
+    ("buses", 1, None, "buses[1]"),
+    ("buses", 1, lambda bus: bus["active_load"]["average"].__setitem__(5, float("nan")),
+     "buses[b1].active_load[average]"),
+]
+
+
+@pytest.mark.parametrize("section, i, mutate, path", MALFORMED,
+                         ids=[m[3] for m in MALFORMED])
+def test_malformed_feeder_names_the_field(tutorial_path, tmp_path, capsys,
+                                          section, i, mutate, path):
+    from gridxpand.network import FeederFormatError
+
+    doc = json.loads(Path(tutorial_path).read_text())
+    if mutate is None:
+        doc[section][i] = 5
+    else:
+        mutate(doc[section][i])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(FeederFormatError, match=re.escape(path)):
+        load_feeder(str(bad))
+    code, out, err = run(capsys, "validate", str(bad))
+    assert code == 2
+    assert path in err
+    assert "Traceback" not in err

@@ -9,11 +9,11 @@ from gridxpand.solver import NumericalBreakdown, solve_lp, solve_milp
 from conftest import brute_force_milp, scipy_milp_objective
 
 
-def toy_upgrade_model():
+def toy_upgrade_model(y_lo=0):
     # one binary upgrade (cost 5) expands capacity enough to avoid slack at 100
     m = MilpModel(name="toy")
     x = m.add_var("x", lo=0, hi=10.0)
-    y = m.add_var("y", binary=True, lo=0, hi=1)
+    y = m.add_var("y", binary=True, lo=y_lo, hi=1)
     s = m.add_var("s", lo=0)
     m.add_constraint([(x, 1.0), (y, -6.0)], "<=", 4.0, tag="cap")
     m.add_constraint([(x, 1.0), (s, 1.0)], ">=", 9.0, tag="demand")
@@ -65,10 +65,8 @@ def test_milp_binary_beats_slack():
 
 def test_milp_all_binaries_fixed_equals_lp():
     m, x, y, s = toy_upgrade_model()
-    m2, x2, y2, s2 = toy_upgrade_model()
     # pin the binary via bounds: the MILP degenerates to the LP
-    object.__setattr__(y2, "lo", 1.0)
-    object.__setattr__(y2, "hi", 1.0)
+    m2, x2, y2, s2 = toy_upgrade_model(y_lo=1.0)
     milp_sol = solve_milp(m2, gap=0.0)
     lp_sol = solve_lp(m2)
     assert milp_sol.objective == pytest.approx(lp_sol.objective, abs=1e-9)
