@@ -541,23 +541,18 @@ def _cut_kinds(fp, fq, cap_const, cap_var, family_pos: str, family_neg: str) -> 
     return kinds
 
 
-def _per_hour(values, T: int) -> np.ndarray:
-    """One value per element, repeated over the element's hours."""
-    return np.repeat(values, T)
-
-
 def _build_fixed_lines(ctx: _Ctx) -> None:
     m, T = ctx.model, len(ctx.times)
     segs = ctx.fixed_segs
     ids = [s.id for s in segs]
     fp, fq = _stack(ctx.f_p, ids), _stack(ctx.f_q, ids)
-    cap = _per_hour([s.capacity for s in segs], T)
+    cap = np.repeat([s.capacity for s in segs], T)
     _rows(m, (ids, ctx.times), _cut_kinds(fp, fq, cap, None, "Eq8", "Eq9") + [
         ("Eq10[{0},{1},{2}]", EQUAL, 0.0,
          [(_stack(ctx.v2, [s.to_bus for s in segs]), 1.0),
           (_stack(ctx.v2, [s.from_bus for s in segs]), -1.0),
-          (fp, _per_hour([2.0 * s.resistance for s in segs], T)),
-          (fq, _per_hour([2.0 * s.reactance for s in segs], T))]),
+          (fp, np.repeat([2.0 * s.resistance for s in segs], T)),
+          (fq, np.repeat([2.0 * s.reactance for s in segs], T))]),
     ])
 
 
@@ -615,21 +610,21 @@ def _build_taps(ctx: _Ctx) -> None:
     vmid, v_to = _stack(ctx.v2mid, ids), _stack(ctx.v2, [s.to_bus for s in segs])
     _rows(m, (ids, ctx.times), [
         ("Eq19[{0},{1},{2},up]", LESS_EQUAL, 0.0,
-         [(vmid, 1.0), (v_to, _per_hour([-s.kind.tap_max ** 2 for s in segs], T))]),
+         [(vmid, 1.0), (v_to, np.repeat([-s.kind.tap_max ** 2 for s in segs], T))]),
         ("Eq19[{0},{1},{2},lo]", GREATER_EQUAL, 0.0,
-         [(vmid, 1.0), (v_to, _per_hour([-s.kind.tap_min ** 2 for s in segs], T))]),
+         [(vmid, 1.0), (v_to, np.repeat([-s.kind.tap_min ** 2 for s in segs], T))]),
     ])
     segs = [s for s in ctx.vr_segs if s.id in ctx.x_vr]
     ids = [s.id for s in segs]
     big_m = [ctx.net.bus(s.to_bus).vmax ** 2
              * (1.0 / s.kind.tap_min ** 2 - 1.0 / s.kind.tap_max ** 2) for s in segs]
     vmid, v_to = _stack(ctx.v2mid, ids), _stack(ctx.v2, [s.to_bus for s in segs])
-    x = _per_hour([ctx.x_vr[i] for i in ids], T)
+    x = np.repeat([ctx.x_vr[i] for i in ids], T)
     _rows(m, (ids, ctx.times), [
         ("Eq20[{0},{1},{2},up]", LESS_EQUAL, 0.0,
-         [(vmid, 1.0), (v_to, -1.0), (x, -_per_hour(big_m, T))]),
+         [(vmid, 1.0), (v_to, -1.0), (x, -np.repeat(big_m, T))]),
         ("Eq20[{0},{1},{2},lo]", GREATER_EQUAL, 0.0,
-         [(vmid, 1.0), (v_to, -1.0), (x, _per_hour(big_m, T))]),
+         [(vmid, 1.0), (v_to, -1.0), (x, np.repeat(big_m, T))]),
     ])
 
 
@@ -646,7 +641,7 @@ def _build_transformers(ctx: _Ctx) -> None:
     segs = [ctx.head] + ctx.vr_segs
     ids = [s.id for s in segs]
     fp, fq = _stack(ctx.f_p, ids), _stack(ctx.f_q, ids)
-    ftrf = _per_hour([ctx.f_trf[i] for i in ids], T)
+    ftrf = np.repeat([ctx.f_trf[i] for i in ids], T)
     _rows(m, (ids, ctx.times), [
         ("Eq25[{0},{1},{2},up]", LESS_EQUAL, 0.0, [(fp, 1.0), (ftrf, -1.0)]),
         ("Eq25[{0},{1},{2},lo]", GREATER_EQUAL, 0.0, [(fp, 1.0), (ftrf, 1.0)]),
@@ -656,8 +651,8 @@ def _build_transformers(ctx: _Ctx) -> None:
         ("Eq29[{0},{1},{2}]", EQUAL, 0.0,
          [(_stack(ctx.v2mid, ids), 1.0),
           (_stack(ctx.v2, [s.from_bus for s in segs]), -1.0),
-          (fp, _per_hour([2.0 * s.resistance for s in segs], T)),
-          (fq, _per_hour([2.0 * s.reactance for s in segs], T))]),
+          (fp, np.repeat([2.0 * s.resistance for s in segs], T)),
+          (fq, np.repeat([2.0 * s.reactance for s in segs], T))]),
     ])
 
 
@@ -673,7 +668,7 @@ def _build_solar(ctx: _Ctx) -> None:
     _rows(m, (ids, ctx.times), [
         ("Eq31[{0},{1},{2}]", EQUAL, 0.0,
          [(_stack(ctx.g_cs, ids), 1.0), (_stack(ctx.g_crt, ids), 1.0),
-          (_per_hour([ctx.x_cs[i] for i in ids], T), -cf)]),
+          (np.repeat([ctx.x_cs[i] for i in ids], T), -cf)]),
     ])
     if units:
         _rows(m, (), [("Eq32", EQUAL, ctx.cs_capacity,
